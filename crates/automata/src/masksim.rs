@@ -8,7 +8,7 @@
 //! so state sets become `⌈|Q|/64⌉` machine words: stepping is a handful of
 //! OR instructions over the set bits and hashing/equality are word-wise.
 
-use crate::nfa::{Label, Nfa};
+use crate::nfa::{Label, Nfa, StateId};
 use cxrpq_graph::Symbol;
 
 /// Precomputed bitmask simulation tables for one [`Nfa`].
@@ -16,53 +16,63 @@ use cxrpq_graph::Symbol;
 pub struct MaskSim {
     state_count: usize,
     words: usize,
-    /// ε-closed start set.
-    start: Vec<u64>,
-    /// Final-state membership mask.
-    finals: Vec<u64>,
-    /// Per-state non-ε transitions as `(label, target state index)`; the
-    /// target's ε-closure mask lives at `closures[target · words ..]`.
-    trans: Vec<Vec<(Label, usize)>>,
-    /// Flattened ε-closure masks, `words` words per entry.
+    /// Non-ε transitions as `(label, target state index)`, grouped by
+    /// source state: state `s` owns `trans[trans_off[s]..trans_off[s + 1]]`.
+    /// The target's ε-closure mask lives at `closures[target · words ..]`.
+    trans: Vec<(Label, usize)>,
+    trans_off: Vec<usize>,
+    /// Flattened masks, `words` words each: the ε-closure of every state
+    /// (row `s`), then the ε-closed start set (row `|Q|`) and the
+    /// final-state mask (row `|Q| + 1`).
     closures: Vec<u64>,
 }
 
 impl MaskSim {
-    /// Builds the tables. `O(|Q|² / 64 + |δ|)` time and space.
+    /// Builds the tables: `O(|Q| · |δ|)` time, `O(|Q|² / 64 + |δ|)` space,
+    /// and a constant number of allocations (short-lived automata build
+    /// these tables once per search).
     pub fn new(nfa: &Nfa) -> Self {
         let n = nfa.state_count();
         let words = n.div_ceil(64).max(1);
-        // ε-closure mask per state.
-        let mut closures = vec![0u64; n * words];
-        for s in nfa.states() {
-            for t in nfa.eps_closure_of(s) {
-                closures[s.index() * words + t.index() / 64] |= 1 << (t.index() % 64);
+        // ε-closure mask per state, by one depth-first walk each.
+        let mut closures = vec![0u64; (n + 2) * words];
+        let mut stack: Vec<usize> = Vec::with_capacity(n);
+        for (s, row) in closures[..n * words].chunks_exact_mut(words).enumerate() {
+            row[s / 64] |= 1 << (s % 64);
+            stack.push(s);
+            while let Some(p) = stack.pop() {
+                for &(l, t) in nfa.transitions(StateId(p as u32)) {
+                    let t = t.index();
+                    if l == Label::Eps && row[t / 64] & (1 << (t % 64)) == 0 {
+                        row[t / 64] |= 1 << (t % 64);
+                        stack.push(t);
+                    }
+                }
             }
         }
-        let mut finals = vec![0u64; words];
-        for f in nfa.final_states() {
-            finals[f.index() / 64] |= 1 << (f.index() % 64);
-        }
-        let mut start = vec![0u64; words];
         let si = nfa.start().index();
-        start.copy_from_slice(&closures[si * words..(si + 1) * words]);
+        closures.copy_within(si * words..(si + 1) * words, n * words);
+        for f in nfa.final_states() {
+            closures[(n + 1) * words + f.index() / 64] |= 1 << (f.index() % 64);
+        }
         // Non-ε transitions only: ε-moves are folded into the closures.
-        let trans = nfa
-            .states()
-            .map(|s| {
+        let mut trans = Vec::with_capacity(nfa.transition_count());
+        let mut trans_off = Vec::with_capacity(n + 1);
+        trans_off.push(0);
+        for s in nfa.states() {
+            trans.extend(
                 nfa.transitions(s)
                     .iter()
                     .filter(|&&(l, _)| l != Label::Eps)
-                    .map(|&(l, t)| (l, t.index()))
-                    .collect()
-            })
-            .collect();
+                    .map(|&(l, t)| (l, t.index())),
+            );
+            trans_off.push(trans.len());
+        }
         Self {
             state_count: n,
             words,
-            start,
-            finals,
             trans,
+            trans_off,
             closures,
         }
     }
@@ -81,7 +91,8 @@ impl MaskSim {
 
     /// The ε-closed start set.
     pub fn start_mask(&self) -> &[u64] {
-        &self.start
+        let n = self.state_count;
+        &self.closures[n * self.words..(n + 1) * self.words]
     }
 
     /// One symbol step on a closed mask, OR-ing the closed result into
@@ -95,7 +106,7 @@ impl MaskSim {
             while m != 0 {
                 let s = wi * 64 + m.trailing_zeros() as usize;
                 m &= m - 1;
-                for &(l, t) in &self.trans[s] {
+                for &(l, t) in &self.trans[self.trans_off[s]..self.trans_off[s + 1]] {
                     if l.reads(a) {
                         let c = &self.closures[t * self.words..(t + 1) * self.words];
                         for (o, &cw) in out.iter_mut().zip(c) {
@@ -115,10 +126,17 @@ impl MaskSim {
         out
     }
 
+    /// The final-state mask.
+    pub fn final_mask(&self) -> &[u64] {
+        &self.closures[(self.state_count + 1) * self.words..]
+    }
+
     /// Whether the mask contains a final state.
     #[inline]
     pub fn any_final(&self, mask: &[u64]) -> bool {
-        mask.iter().zip(&self.finals).any(|(&m, &f)| m & f != 0)
+        mask.iter()
+            .zip(self.final_mask())
+            .any(|(&m, &f)| m & f != 0)
     }
 }
 

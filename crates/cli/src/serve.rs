@@ -32,10 +32,12 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How often the disconnect watcher polls an idle socket.
+/// How often a request handler checks its socket for a disconnect while
+/// the query evaluates.
 const WATCH_TICK: Duration = Duration::from_millis(25);
 
 /// Configuration for [`run_serve`].
@@ -181,8 +183,11 @@ fn handle_connection(srv: &Server, stream: TcpStream) {
 }
 
 /// Evaluates one query request line through the shared cache under a
-/// per-request governor, with a disconnect watcher holding its cancel
-/// flag.
+/// per-request governor. The evaluation runs on a scoped thread; this
+/// thread waits on its completion in [`WATCH_TICK`] slices and, between
+/// slices, checks the socket for a disconnect, which trips the governor's
+/// cancel flag. A result wakes the handler at once: no poll sits between a
+/// finished evaluation and its response.
 fn handle_query(srv: &Server, stream: &TcpStream, request: &str) -> String {
     srv.requests.fetch_add(1, Ordering::Relaxed);
     let (opts, query) = match parse_request(request, &srv.defaults) {
@@ -201,16 +206,26 @@ fn handle_query(srv: &Server, stream: &TcpStream, request: &str) -> String {
     let gov = opts
         .governor()
         .unwrap_or_else(|| Arc::new(Governor::unlimited()));
-    let done = Arc::new(AtomicBool::new(false));
-    let watcher = spawn_disconnect_watcher(stream, Arc::clone(&gov), Arc::clone(&done));
-    let result = srv.cache.answers_governed(&srv.db, &query, &eval_opts, gov);
-    done.store(true, Ordering::Relaxed);
-    if let Some(h) = watcher {
-        let _ = h.join();
-        // The watcher clone shares the socket, so its poll timeout must
-        // not leak into the reader's blocking `lines()` loop.
-        let _ = stream.set_read_timeout(None);
-    }
+    let result = std::thread::scope(|s| {
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let eval_gov = Arc::clone(&gov);
+        let (query, eval_opts) = (&query, &eval_opts);
+        let eval = s.spawn(move || {
+            let r = srv
+                .cache
+                .answers_governed(&srv.db, query, eval_opts, eval_gov);
+            let _ = done_tx.send(());
+            r
+        });
+        // `Disconnected` means the evaluation panicked; `join` re-raises.
+        while let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(WATCH_TICK) {
+            if !gov.is_aborted() && client_gone(stream) {
+                gov.cancel();
+            }
+        }
+        eval.join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    });
     match result {
         Ok(served) => {
             if matches!(served.verdict, Verdict::Aborted(_)) {
@@ -262,35 +277,21 @@ where
     value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
-/// Watches a cloned socket for EOF/reset while a query evaluates and
-/// trips the governor's cancel flag on disconnect. `peek` never consumes
-/// bytes, so pipelined follow-up requests are untouched.
-fn spawn_disconnect_watcher(
-    stream: &TcpStream,
-    gov: Arc<Governor>,
-    done: Arc<AtomicBool>,
-) -> Option<std::thread::JoinHandle<()>> {
-    let peek = stream.try_clone().ok()?;
-    peek.set_read_timeout(Some(WATCH_TICK)).ok()?;
-    Some(std::thread::spawn(move || {
-        let mut buf = [0u8; 1];
-        while !done.load(Ordering::Relaxed) {
-            match peek.peek(&mut buf) {
-                // EOF: the client hung up mid-evaluation.
-                Ok(0) => {
-                    gov.cancel();
-                    break;
-                }
-                // Pipelined data is waiting; the connection is alive.
-                Ok(_) => std::thread::sleep(WATCH_TICK),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Err(_) => {
-                    gov.cancel();
-                    break;
-                }
-            }
-        }
-    }))
+/// Whether the client has hung up: one non-blocking `peek` (which never
+/// consumes bytes, so pipelined follow-up requests are untouched) that
+/// sees EOF or a socket error. The socket is back in blocking mode, with
+/// no read timeout, when this returns.
+fn client_gone(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let mut buf = [0u8; 1];
+    let gone = match stream.peek(&mut buf) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+    };
+    let _ = stream.set_nonblocking(false);
+    gone
 }
 
 fn render_answers(db: &GraphDb, served: &ServedAnswers, limit: Option<usize>) -> String {

@@ -120,6 +120,14 @@ fn serve_smoke_mixed_workload() {
     assert_eq!(header_field(&limited[0], "shown"), "1");
     assert_eq!(limited.len(), 2, "header + one tuple: {limited:?}");
 
+    // Pipelined requests in one write: each gets its own frame, in order.
+    a.send(&format!("{Q_SIMPLE}\nPING\n{Q_HEAVY}"));
+    let first = a.read_frame();
+    assert_eq!(header_field(&first[0], "answers"), "2", "{first:?}");
+    assert_eq!(a.read_line(), "pong");
+    let third = a.read_frame();
+    assert_eq!(header_field(&third[0], "answers"), "1", "{third:?}");
+
     // Malformed input is an error frame, not a dropped connection.
     let bad = a.request("ans( <- broken");
     assert!(bad[0].starts_with("err "), "{bad:?}");
@@ -190,6 +198,59 @@ fn serve_cancels_on_disconnect() {
     let mut c = Client::connect(addr);
     let r = c.request(Q_SIMPLE);
     assert!(r[0].starts_with("ok "), "server still serving: {r:?}");
+    let down = c.request("SHUTDOWN");
+    assert_eq!(down[0], "ok shutting down");
+    server.join().expect("server thread").expect("serve ok");
+}
+
+/// A 60-node graph, two arcs per node and label, on which
+/// `z{(a|b)+}cz` runs for minutes.
+fn heavy_graph() -> String {
+    let mut g = String::from("alphabet a b c\n");
+    for i in 0..60u32 {
+        for (l, k) in [("a", 97u32), ("b", 98), ("c", 99)] {
+            g += &format!("edge n{i} {l} n{}\n", (i * 7 + k * 13 + 1) % 60);
+            g += &format!("edge n{i} {l} n{}\n", (i * 11 + k * 5 + 3) % 60);
+        }
+    }
+    g
+}
+
+#[test]
+fn serve_cancels_a_running_query_on_disconnect() {
+    // The request would run far past this test unless the handler sees
+    // the hang-up while the query evaluates and cancels it.
+    let graph = heavy_graph();
+    let (tx, rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        run_serve(
+            &graph,
+            ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..ServeConfig::default()
+            },
+            move |addr| tx.send(addr).unwrap(),
+        )
+    });
+    let addr = rx.recv().expect("server ready");
+    {
+        let mut ghost = Client::connect(addr);
+        ghost.send(Q_HEAVY);
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
+    let mut c = Client::connect(addr);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    loop {
+        let stats = c.request("STATS");
+        if stats.iter().any(|l| l == "aborted=1") {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "abandoned query was not cancelled: {stats:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
     let down = c.request("SHUTDOWN");
     assert_eq!(down[0], "ok shutting down");
     server.join().expect("server thread").expect("serve ok");

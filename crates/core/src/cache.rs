@@ -668,6 +668,40 @@ mod tests {
     }
 
     #[test]
+    fn boolean_requests_equal_the_cold_boolean_run_for_every_engine() {
+        let db = small_db();
+        let queries = [
+            "ans() <- (x) -[ a(b|c)*a ]-> (y)",
+            "ans() <- (x) -[ (a|b)+c ]-> (y)",
+            "ans() <- (x) -[ cc ]-> (y)",
+            "ans() <- (x) -[ z{ab}cz ]-> (y)",
+        ];
+        for text in queries {
+            let mut alpha = db.alphabet().clone();
+            let q = parse_query(text, &mut alpha).unwrap();
+            for engine in [EngineKind::Simple, EngineKind::Vsf, EngineKind::Bounded] {
+                let opts = EvalOptions {
+                    force: Some(engine),
+                    ..EvalOptions::default()
+                };
+                let Ok(auto) = AutoEvaluator::with_options(&q, opts.clone()) else {
+                    continue; // the engine does not cover this fragment
+                };
+                let want = auto.boolean(&db).value;
+                let cache = QueryCache::with_defaults();
+                let cold = cache.answers(&db, text, &opts).unwrap();
+                let warm = cache.answers(&db, text, &opts).unwrap();
+                assert_eq!(warm.outcome, CacheOutcome::AnswerHit, "{text} {engine:?}");
+                for served in [&cold, &warm] {
+                    assert_eq!(served.arity, 0);
+                    assert_eq!(!served.answers.is_empty(), want, "{text} under {engine:?}");
+                    assert!(served.answers.iter().all(Vec::is_empty));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn footprint_is_exact_and_union_over_components() {
         let mut alpha = Alphabet::from_chars("abc");
         let q = parse_query("ans() <- (x) -[ z{(a|b)+}cz ]-> (y)", &mut alpha).unwrap();

@@ -12,16 +12,21 @@
 //!
 //! and the mirror image via the reversed automaton otherwise (so a pinned
 //! destination costs one backward search from the singleton, never one
-//! forward search per node). Passes repeat to a fixpoint (capped by the
-//! caller — early-exiting `boolean`/`check` calls cap low), visiting edges
-//! cheapest-first per the plan so the sharpest filters narrow the domains
-//! other edges then fill over. Fills are *domain-restricted*:
-//! [`ReachCache::fill_targets`] stripes cover only the current domain,
-//! never all of `db.nodes()`, so every later round costs traffic
-//! proportional to what pruning has already achieved. Under streaming
-//! appends the caches invalidate per label ([`GraphDb::delta_since`]): an
-//! edge automaton whose alphabet misses every appended label keeps its
-//! fills across generations.
+//! forward search per node). Singleton pairs cost one bidirectional
+//! search: an edge whose endpoint domains are both singletons `{u}`, `{v}`
+//! is decided by
+//! [`ReachCache::connects_pair`](crate::reach::ReachCache::connects_pair),
+//! never by `u`'s whole forward closure, and the memoized verdict also
+//! answers the enumerator's later check of the edge. Passes repeat to a
+//! fixpoint (capped by the caller — early-exiting `boolean`/`check` calls
+//! cap low), visiting edges cheapest-first per the plan so the sharpest
+//! filters narrow the domains other edges then fill over. Fills are
+//! *domain-restricted*: [`ReachCache::fill_targets`] stripes cover only
+//! the current domain, never all of `db.nodes()`, so every later round
+//! costs traffic proportional to what pruning has already achieved.
+//! Under streaming appends the caches invalidate per label
+//! ([`GraphDb::delta_since`]): an edge automaton whose alphabet misses
+//! every appended label keeps its fills across generations.
 //!
 //! **Adaptive probe.** Batched wavefront fills win ~3–4× on random and
 //! label-dense shapes but lose to per-source sweeps on long-diameter chains
@@ -150,7 +155,8 @@ impl Domains {
     /// (targets from `dom(src)`) or backward (sources from `dom(dst)`,
     /// via the reversed automaton) — so a pinned destination costs one
     /// backward search from the singleton, never one forward search per
-    /// node of the universe.
+    /// node of the universe. An edge between two singleton domains is
+    /// decided by one pinned-pair search and empties both on a miss.
     fn pass(
         &mut self,
         db: &GraphDb,
@@ -165,6 +171,19 @@ impl Domains {
                 break; // drain: an aborted pass only ever shrank domains
             }
             let (src, dst) = (edges[i].src, edges[i].dst);
+            if self.sizes[src.index()] == 1 && self.sizes[dst.index()] == 1 {
+                // Both endpoints decided: one bidirectional pair search.
+                let u = self.iter(src).next().expect("singleton domain");
+                let v = self.iter(dst).next().expect("singleton domain");
+                if !edges[i].cache.connects_pair(db, u, v) {
+                    for x in [src, dst] {
+                        self.doms[x.index()].clear();
+                        self.sizes[x.index()] = 0;
+                    }
+                    changed = true;
+                }
+                continue;
+            }
             let forward = self.sizes[src.index()] <= self.sizes[dst.index()];
             // The joined-from side (`near`) and the derived side (`far`).
             let (near, far) = if forward { (src, dst) } else { (dst, src) };
@@ -340,6 +359,33 @@ mod tests {
         let mut doms = Domains::full(2, db.node_count());
         let out = doms.prune(&db, &mut edges, None, 8, false, Governor::disabled());
         assert!(out.emptied);
+    }
+
+    #[test]
+    fn singleton_pairs_are_decided_by_one_pair_search() {
+        let (db, nodes) = line_db("abcab");
+        let mut edges = vec![edge(&db, 0, 1, "a(b|c)*")];
+        let mut doms = Domains::full(2, db.node_count());
+        doms.pin(NodeVar(0), nodes[0]);
+        doms.pin(NodeVar(1), nodes[3]);
+        let out = doms.prune(&db, &mut edges, None, 8, false, Governor::disabled());
+        assert!(!out.emptied);
+        assert_eq!(out.rounds, 1, "a kept pair changes nothing");
+        // Decided as a pair (memoized), not by filling n0's closure.
+        assert!(edges[0].cache.connects(&db, nodes[0], nodes[3]));
+        let explored = edges[0].cache.stats.states();
+        edges[0].cache.targets(&db, nodes[0]);
+        assert!(
+            edges[0].cache.stats.states() > explored,
+            "no forward fill ran"
+        );
+
+        let mut doms = Domains::full(2, db.node_count());
+        doms.pin(NodeVar(0), nodes[1]);
+        doms.pin(NodeVar(1), nodes[3]);
+        let out = doms.prune(&db, &mut edges, None, 8, false, Governor::disabled());
+        assert!(out.emptied);
+        assert_eq!((doms.size(NodeVar(0)), doms.size(NodeVar(1))), (0, 0));
     }
 
     #[test]

@@ -155,6 +155,8 @@ enum EngineImpl<'q> {
 /// dropped from timings.
 pub struct AutoEvaluator<'q> {
     choice: EngineKind,
+    /// Number of output variables (0 = a Boolean query).
+    arity: usize,
     exact: bool,
     engine: EngineImpl<'q>,
     plan_elapsed: Duration,
@@ -208,6 +210,7 @@ impl<'q> AutoEvaluator<'q> {
         let exact = choice != EngineKind::Bounded;
         Ok(Self {
             choice,
+            arity: q.output().len(),
             exact,
             engine,
             plan_elapsed: t0.elapsed(),
@@ -274,7 +277,28 @@ impl<'q> AutoEvaluator<'q> {
 
     /// The answer relation with provenance (projection pushdown: non-output
     /// variables are existentially eliminated by the solver).
+    ///
+    /// A zero-arity query's relation is `{()}` or `∅`, decided by the
+    /// early-exiting [`AutoEvaluator::boolean`] run (same verdict and
+    /// pipeline stats) instead of a full fixpoint and enumeration.
     pub fn answers(&self, db: &GraphDb) -> Evaluated<BTreeSet<Vec<NodeId>>> {
+        if self.arity == 0 {
+            let b = self.boolean(db);
+            let value = if b.value {
+                BTreeSet::from([Vec::new()])
+            } else {
+                BTreeSet::new()
+            };
+            return Evaluated {
+                value,
+                engine: b.engine,
+                exact: b.exact,
+                elapsed: b.elapsed,
+                plan_elapsed: b.plan_elapsed,
+                pipeline: b.pipeline,
+                verdict: b.verdict,
+            };
+        }
         let opts = self.solve_opts(SolveOptions::pipeline().projected());
         self.timed(|| match &self.engine {
             EngineImpl::Simple(ev) => ev.answers_opts(db, &opts),

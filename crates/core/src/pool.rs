@@ -18,7 +18,9 @@
 //!   result slots). They are transmuted to `'static` for the queue; this is
 //!   sound because [`WorkerPool::run_sharded`] does not return — and thus the
 //!   borrowed frames cannot unwind — until every job of the scope has
-//!   finished, panicked or not.
+//!   finished, panicked or not. The completion latch itself is the one thing
+//!   a job touches *after* reporting itself finished, so it is not borrowed:
+//!   every job holds an `Arc` of it.
 //! - **Panic propagation.** Worker panics are caught, recorded on the scope,
 //!   and re-raised on the submitting thread after the scope drains, mirroring
 //!   `std::thread::scope` semantics.
@@ -87,15 +89,18 @@ impl WorkerPool {
         }
     }
 
-    /// The process-wide pool, created on first use and sized from
-    /// `available_parallelism`. Never torn down.
+    /// The process-wide pool, created on first use with
+    /// `max(available_parallelism − 1, 1)` workers: a thread submitting a
+    /// sharded scope runs one shard itself and helps drain the queue, so
+    /// one worker per remaining CPU keeps every CPU busy without
+    /// oversubscribing them. Never torn down.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let threads = std::thread::available_parallelism()
+            let cpus = std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1);
-            WorkerPool::new(threads)
+            WorkerPool::new(global_workers(cpus))
         })
     }
 
@@ -133,14 +138,16 @@ impl WorkerPool {
         let shards = chunks.len();
         let mut results: Vec<Option<R>> = Vec::new();
         results.resize_with(shards, || None);
-        let scope = ScopeState::new(shards - 1);
+        // Shared, not borrowed: the last job's `finish` still touches the
+        // latch after its decrement has released this frame.
+        let scope = Arc::new(ScopeState::new(shards - 1));
         let slots = SendPtr(results.as_mut_ptr());
 
         let mut jobs: Vec<Job> = Vec::with_capacity(shards - 1);
         for (i, part) in chunks[..shards - 1].iter().enumerate() {
             let part: &[T] = part;
             let worker_ref = &worker;
-            let scope_ref = &scope;
+            let scope_ref = Arc::clone(&scope);
             let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                 // Rebind the whole wrapper: edition-2021 disjoint capture
                 // would otherwise capture the bare `*mut` field, which is
@@ -157,11 +164,12 @@ impl WorkerPool {
                 }
                 scope_ref.finish();
             });
-            // SAFETY: the job borrows `chunks`, `results`, `worker`, and
-            // `scope` from this frame. `run_sharded` blocks (running the last
-            // chunk, then helping/waiting) until `scope` counts every job
-            // finished, so the borrows outlive the job's execution; the
-            // 'static lifetime is never used to keep the job alive past that.
+            // SAFETY: the job borrows `chunks`, `results` and `worker` from
+            // this frame and touches them only before its `finish`.
+            // `run_sharded` blocks (running the last chunk, then
+            // helping/waiting) until `scope` counts every job finished, so
+            // the borrows outlive their use; the job owns its `scope` handle,
+            // so the latch outlives the `finish` that releases this frame.
             let job: Job = unsafe {
                 std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(job)
             };
@@ -239,6 +247,11 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Worker count of [`WorkerPool::global`] on a machine with `cpus` CPUs.
+fn global_workers(cpus: usize) -> usize {
+    cpus.saturating_sub(1).max(1)
+}
+
 fn worker_loop(inner: &PoolInner) {
     loop {
         let job = {
@@ -289,6 +302,8 @@ impl ScopeState {
         self.panic.lock().unwrap().take()
     }
 
+    /// Counts one job finished. The decrement may let the submitting
+    /// thread return, so a job calls this on its own `Arc` handle.
     fn finish(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _guard = self.done.lock().unwrap();
@@ -329,6 +344,15 @@ mod tests {
         assert_eq!(sums.iter().sum::<u32>(), (0..1000).sum::<u32>());
         // Chunk order: shard 0 holds the smallest prefix.
         assert!(sums[0] < sums[3]);
+    }
+
+    #[test]
+    fn global_pool_leaves_a_cpu_to_the_submitter() {
+        assert_eq!(global_workers(1), 1);
+        assert_eq!(global_workers(2), 1);
+        assert_eq!(global_workers(8), 7);
+        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(WorkerPool::global().worker_count(), global_workers(cpus));
     }
 
     #[test]
@@ -408,6 +432,21 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         panic!("detached job never ran");
+    }
+
+    #[test]
+    fn many_short_scopes_never_touch_a_freed_latch() {
+        // Regression: the last job's `finish` once locked the latch after
+        // its decrement had let `run_sharded` return and free it. Trivial
+        // shards make that window as likely as it gets; only the pool's
+        // own four workers run them.
+        let pool = WorkerPool::new(4);
+        let items: Vec<u32> = (0..8).collect();
+        for round in 0..20_000u32 {
+            let out = pool.run_sharded(&items, 4, |i, slice| i as u32 + slice[0] + round);
+            assert_eq!(out.len(), 4);
+            assert_eq!(out[3], 3 + 6 + round);
+        }
     }
 
     #[test]

@@ -30,14 +30,28 @@
 //! fraction of the rectangle, sparse dirty lists deduped through one
 //! reused bitset otherwise, so per-level cost stays proportional to the
 //! frontier, never to the whole `|V| · |Q|` rectangle.
+//!
+//! **Pinned pair** ([`ReachCache::connects_pair`]): the Check question
+//! "is `(u, v)` in `R_M`?" when both endpoints are fixed. Instead of
+//! `u`'s whole forward closure it runs one meet-in-the-middle search:
+//! forward from `(u, closure(q₀))` over `M` and backward from
+//! `(v, finals)` over the reversed automaton. Each side keeps one
+//! ε-closed state set per explored node as a [`MaskSim`] bitmask in a
+//! sparse map sized to the explored region, and each step expands the
+//! side with the smaller frontier by one level, in insertion order. The
+//! search stops as soon as some node's forward and backward masks share
+//! a state (a word of `L(M)` splits there) or one side runs dry. Its
+//! [`ReachStats`] count is the number of nodes expanded, not product
+//! cells.
 
 use crate::frontier::{expand_sharded_governed, FrontierConfig};
 use crate::governor::Governor;
-use cxrpq_automata::{Label, Nfa, StateId};
+use cxrpq_automata::{Label, MaskSim, Nfa, StateId};
 use cxrpq_graph::{DenseBitSet, GraphDb, NodeId, Symbol};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Walk direction through the database.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,7 +63,8 @@ pub enum Direction {
 }
 
 /// Counts product states explored — the measured proxy for the paper's
-/// space bounds in EXPERIMENTS.md.
+/// space bounds in EXPERIMENTS.md. A pinned-pair search
+/// ([`ReachCache::connects_pair`]) counts the nodes it expands instead.
 ///
 /// The counter is atomic so sharded frontier workers can bump it directly;
 /// all accesses are relaxed (it is a statistic, not a synchronization
@@ -539,6 +554,252 @@ pub fn reach_all_governed(
     out
 }
 
+/// Folded-multiply hasher for the `NodeId` keys of the pinned-pair search:
+/// a few instructions per key where SipHash costs tens, keyed once per
+/// process from the standard library's random state so that a crafted
+/// graph cannot aim the explored nodes at one bucket. The maps are only
+/// probed, never iterated, so the search order does not depend on the key.
+struct NodeHasher(u64);
+
+impl NodeHasher {
+    fn mix(&mut self, v: u64) {
+        let p = u128::from(self.0 ^ v) * u128::from(0x9e37_79b9_7f4a_7c15_u64);
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+impl Hasher for NodeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+}
+
+#[derive(Clone, Copy, Default)]
+struct NodeHashSeed;
+
+impl BuildHasher for NodeHashSeed {
+    type Hasher = NodeHasher;
+
+    fn build_hasher(&self) -> NodeHasher {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        NodeHasher(*SEED.get_or_init(|| RandomState::new().build_hasher().finish()))
+    }
+}
+
+/// One direction of the pinned-pair search. Per explored node (a *slot*,
+/// numbered in discovery order) it keeps `2 · words` mask words: the
+/// ε-closed states reached so far, then those not yet expanded.
+struct PairSide<'a> {
+    sim: &'a MaskSim,
+    forward: bool,
+    words: usize,
+    /// Node → slot index, built once the side outgrows [`PAIR_SLOTS`]
+    /// (below that a scan of `nodes` is cheaper than hashing).
+    slot_of: HashMap<NodeId, u32, NodeHashSeed>,
+    nodes: Vec<NodeId>,
+    masks: Vec<u64>,
+    /// Slots with pending states, in the order they gained them: the
+    /// next level to expand.
+    queue: Vec<u32>,
+    /// The level being expanded (kept to reuse its allocation).
+    level: Vec<u32>,
+}
+
+/// Slots a search side allocates up front and finds by a linear scan:
+/// most pinned checks settle within a handful of nodes, where a hash map
+/// and containers grown from empty cost more than the search itself.
+const PAIR_SLOTS: usize = 16;
+
+impl<'a> PairSide<'a> {
+    fn new(sim: &'a MaskSim, forward: bool) -> Self {
+        let words = sim.words();
+        Self {
+            sim,
+            forward,
+            words,
+            slot_of: HashMap::default(),
+            nodes: Vec::with_capacity(PAIR_SLOTS),
+            masks: Vec::with_capacity(PAIR_SLOTS * 2 * words),
+            queue: Vec::with_capacity(PAIR_SLOTS),
+            level: Vec::new(),
+        }
+    }
+
+    /// The slot of `node`, if explored.
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        if self.nodes.len() <= PAIR_SLOTS {
+            self.nodes.iter().position(|&n| n == node)
+        } else {
+            self.slot_of.get(&node).map(|&s| s as usize)
+        }
+    }
+
+    /// The states reached at `node`, if explored.
+    fn seen_at(&self, node: NodeId) -> Option<&[u64]> {
+        let w = self.words;
+        self.slot(node).map(|s| &self.masks[s * 2 * w..][..w])
+    }
+
+    /// ORs the closed state set `bits` into `node`'s mask, queueing the
+    /// node when it gains states it has none pending of. Returns whether a
+    /// gained state also lies in `theirs` (the other side's mask at
+    /// `node`) — the two searches meet there.
+    fn add(&mut self, node: NodeId, bits: &[u64], theirs: Option<&[u64]>, gov: &Governor) -> bool {
+        let w = self.words;
+        let slot = match self.slot(node) {
+            Some(s) => s,
+            None => {
+                let s = self.nodes.len();
+                self.nodes.push(node);
+                self.masks.resize(self.masks.len() + 2 * w, 0);
+                gov.charge_mem(2 * w * 8 + 16);
+                if s == PAIR_SLOTS {
+                    let index = self.nodes.iter().enumerate().map(|(i, &n)| (n, i as u32));
+                    self.slot_of.extend(index);
+                } else if s > PAIR_SLOTS {
+                    self.slot_of.insert(node, s as u32);
+                }
+                s
+            }
+        };
+        let (seen, pending) = self.masks[slot * 2 * w..][..2 * w].split_at_mut(w);
+        let (mut grew, mut idle, mut met) = (false, true, false);
+        for (i, &b) in bits.iter().enumerate() {
+            let fresh = b & !seen[i];
+            idle &= pending[i] == 0;
+            if fresh != 0 {
+                grew = true;
+                seen[i] |= fresh;
+                pending[i] |= fresh;
+                met |= theirs.is_some_and(|t| t.get(i).is_some_and(|&tw| tw & fresh != 0));
+            }
+        }
+        if grew && idle {
+            self.queue.push(slot as u32);
+        }
+        met
+    }
+
+    /// Expands every queued node by one arc over its pending states, with
+    /// `theirs` giving the other side's mask at a node and `buf` as scratch
+    /// of at least `2 · words` words. `Some(met)` when the level ran (or
+    /// stopped at a meet), `None` when the governor tripped.
+    fn expand_level<'b>(
+        &mut self,
+        theirs: impl Fn(NodeId) -> Option<&'b [u64]>,
+        db: &GraphDb,
+        stats: &ReachStats,
+        gov: &Governor,
+        buf: &mut [u64],
+    ) -> Option<bool> {
+        let w = self.words;
+        let (delta, step) = buf[..2 * w].split_at_mut(w);
+        std::mem::swap(&mut self.level, &mut self.queue);
+        for i in 0..self.level.len() {
+            if !gov.checkpoint() {
+                return None;
+            }
+            stats.bump(1);
+            let slot = self.level[i] as usize;
+            let pending = &mut self.masks[slot * 2 * w + w..][..w];
+            delta.copy_from_slice(pending);
+            pending.fill(0);
+            let node = self.nodes[slot];
+            let runs = if self.forward {
+                db.out_label_runs(node)
+            } else {
+                db.in_label_runs(node)
+            };
+            for (a, run) in runs {
+                step.fill(0);
+                if !self.sim.step_into(delta, a, step) {
+                    continue;
+                }
+                for (_, next) in run {
+                    if self.add(next, step, theirs(next), gov) {
+                        return Some(true);
+                    }
+                }
+            }
+        }
+        self.level.clear();
+        Some(false)
+    }
+}
+
+/// Bidirectional product search for one pinned pair: whether some path
+/// `u →* v` spells a word of the automaton behind `fwd`. The backward side
+/// runs over the tables of `rev` ([`reverse_nfa`], whose states `0..|Q|`
+/// are the original ones), built into `bwd` the first time it is needed.
+/// Returns `false` on a governor trip (the caller must not memoize that
+/// verdict).
+#[allow(clippy::too_many_arguments)]
+fn pair_search(
+    db: &GraphDb,
+    fwd: &MaskSim,
+    rev: &Nfa,
+    bwd: &mut Option<MaskSim>,
+    u: NodeId,
+    v: NodeId,
+    stats: &ReachStats,
+    gov: &Governor,
+) -> bool {
+    let words = (fwd.state_count() + 1).div_ceil(64);
+    let mut inline = [0u64; 8];
+    let mut heap = Vec::new();
+    let buf: &mut [u64] = if 2 * words <= inline.len() {
+        &mut inline
+    } else {
+        heap.resize(2 * words, 0);
+        &mut heap
+    };
+    let mut f = PairSide::new(fwd, true);
+    f.add(u, fwd.start_mask(), None, gov);
+    // While the forward frontier is a single node the smaller side is the
+    // forward one, and the backward side is still its seed `(v, finals)`:
+    // on forward-closed masks, meeting it means reaching `v` in a final
+    // state. Most checks end here, so the backward tables wait.
+    let seed = |n: NodeId| (n == v).then(|| fwd.final_mask());
+    while f.queue.len() == 1 {
+        match f.expand_level(seed, db, stats, gov, buf) {
+            Some(false) => {}
+            Some(true) => return true,
+            None => return false,
+        }
+    }
+    if f.queue.is_empty() {
+        return false; // the forward closure is complete without a meet
+    }
+    let bwd = bwd.get_or_insert_with(|| MaskSim::new(rev));
+    let mut b = PairSide::new(bwd, false);
+    b.add(v, bwd.start_mask(), None, gov); // no meet: the loop above saw it
+    loop {
+        if f.queue.is_empty() || b.queue.is_empty() {
+            return false; // one side's closure is complete without a meet
+        }
+        let step = if f.queue.len() <= b.queue.len() {
+            f.expand_level(|n| b.seen_at(n), db, stats, gov, buf)
+        } else {
+            b.expand_level(|n| f.seen_at(n), db, stats, gov, buf)
+        };
+        match step {
+            Some(false) => {}
+            Some(true) => return true,
+            None => return false,
+        }
+    }
+}
+
 /// Memoizing wrapper around [`reach_set`] for repeated queries against the
 /// same database (one cache per `(edge automaton, direction)`).
 ///
@@ -572,6 +833,13 @@ pub struct ReachCache {
     /// Invalidation rides the same label-aware `bind` as the sets.
     fwd_sorted: HashMap<NodeId, std::rc::Rc<[NodeId]>>,
     bwd_sorted: HashMap<NodeId, std::rc::Rc<[NodeId]>>,
+    /// Pinned-pair verdicts of [`ReachCache::connects_pair`]; invalidation
+    /// rides the same label-aware `bind` as the fills.
+    pairs: HashMap<(NodeId, NodeId), bool>,
+    /// Forward and reversed [`MaskSim`] tables of the pinned-pair search,
+    /// each built the first time a search needs it.
+    pair_fwd: Option<MaskSim>,
+    pair_bwd: Option<MaskSim>,
     scratch: ReachScratch,
     wave: WaveScratch,
     gov: Option<Arc<Governor>>,
@@ -606,6 +874,9 @@ impl ReachCache {
             bwd: HashMap::new(),
             fwd_sorted: HashMap::new(),
             bwd_sorted: HashMap::new(),
+            pairs: HashMap::new(),
+            pair_fwd: None,
+            pair_bwd: None,
             scratch: ReachScratch::default(),
             wave: WaveScratch::default(),
             gov: None,
@@ -662,6 +933,7 @@ impl ReachCache {
                     self.bwd.clear();
                     self.fwd_sorted.clear();
                     self.bwd_sorted.clear();
+                    self.pairs.clear();
                 }
                 self.generation = Some(db.generation());
             }
@@ -871,9 +1143,58 @@ impl ReachCache {
         r
     }
 
+    /// Whether some path `u →* v` is labelled by an accepted word, decided
+    /// by one bidirectional search (see the module docs) instead of a
+    /// closure, and memoized per `(u, v)`.
+    ///
+    /// A memoized fill of `u` (forward) or `v` (backward) answers first;
+    /// `u == v` under an automaton accepting ε needs no search. The search
+    /// checkpoints once per expanded node and bumps [`ReachStats`] by one
+    /// per node. A verdict interrupted by a governor trip is `false` and is
+    /// not memoized, so an abort only ever under-approximates.
+    pub fn connects_pair(&mut self, db: &GraphDb, u: NodeId, v: NodeId) -> bool {
+        self.bind(db);
+        if let Some(&hit) = self.pairs.get(&(u, v)) {
+            return hit;
+        }
+        if let Some(r) = self.fwd.get(&u) {
+            return r.contains(&v);
+        }
+        if let Some(r) = self.bwd.get(&v) {
+            return r.contains(&u);
+        }
+        let hit = if u == v && self.nfa.accepts_epsilon() {
+            true
+        } else {
+            let nfa = &self.nfa;
+            let fwd = self.pair_fwd.get_or_insert_with(|| MaskSim::new(nfa));
+            let gov = self.gov.as_deref().unwrap_or(Governor::disabled());
+            pair_search(
+                db,
+                fwd,
+                &self.rev,
+                &mut self.pair_bwd,
+                u,
+                v,
+                &self.stats,
+                gov,
+            )
+        };
+        if !self.governor().is_aborted() {
+            self.governor().charge_mem(16);
+            self.pairs.insert((u, v), hit);
+        }
+        hit
+    }
+
     /// Whether some path `u →* v` is labelled by an accepted word.
     ///
-    /// When neither endpoint is memoized yet, the direction is picked by
+    /// A memoized fill of either endpoint or a pinned-pair verdict of
+    /// [`ReachCache::connects_pair`] answers without a search — the
+    /// enumerator's check of an edge whose endpoints the semi-join pass
+    /// already decided as a pair costs a lookup.
+    ///
+    /// Otherwise, the direction is picked by
     /// CSR degree — but only when the comparison is decisive: a `v` with an
     /// empty in-row makes the backward search trivially cheap (the product
     /// never leaves `v`'s row, `O(|Q|)` instead of `u`'s full forward
@@ -888,6 +1209,9 @@ impl ReachCache {
         }
         if let Some(r) = self.bwd.get(&v) {
             return r.contains(&u);
+        }
+        if let Some(&hit) = self.pairs.get(&(u, v)) {
+            return hit;
         }
         if db.in_edges(v).is_empty() && !db.out_edges(u).is_empty() {
             self.sources(db, v).contains(&u)
@@ -1095,6 +1419,62 @@ mod tests {
             assert!(cache.connects(&db, hub, l));
             assert!(!cache.connects(&db, l, hub));
         }
+    }
+
+    #[test]
+    fn pair_search_matches_the_closure_on_every_pair() {
+        let (db, nodes) = line_db("aabbaacab");
+        for pat in ["a*", "a*b", "(a|b)*c", "..", "_", "b(a|c)*"] {
+            let m = nfa_of(&db, pat);
+            for &u in &nodes {
+                let closure = reach_set(&db, &m, u, Direction::Forward, None);
+                for &v in &nodes {
+                    let mut cache = ReachCache::new(m.clone());
+                    assert_eq!(
+                        cache.connects_pair(&db, u, v),
+                        closure.contains(&v),
+                        "pattern {pat}, {u:?} -> {v:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_verdicts_are_memoized_and_read_by_connects() {
+        let (db, nodes) = line_db("abcab");
+        let mut cache = ReachCache::new(nfa_of(&db, "a(b|c)*"));
+        assert!(cache.connects_pair(&db, nodes[0], nodes[3]));
+        assert!(!cache.connects_pair(&db, nodes[1], nodes[3]));
+        let explored = cache.stats.states();
+        assert!(explored > 0);
+        assert!(cache.connects_pair(&db, nodes[0], nodes[3]));
+        assert!(cache.connects(&db, nodes[0], nodes[3]));
+        assert!(!cache.connects(&db, nodes[1], nodes[3]));
+        assert_eq!(cache.stats.states(), explored, "memo hits search nothing");
+        // ε-accepting automaton, u == v: no search at all.
+        let mut eps = ReachCache::new(nfa_of(&db, "a*"));
+        assert!(eps.connects_pair(&db, nodes[2], nodes[2]));
+        assert_eq!(eps.stats.states(), 0);
+    }
+
+    #[test]
+    fn pair_verdicts_follow_label_aware_invalidation() {
+        let (mut db, n) = line_db("aa");
+        let (a, c) = (db.alphabet().sym("a"), db.alphabet().sym("c"));
+        let mut cache = ReachCache::new(nfa_of(&db, "aa"));
+        assert!(!cache.connects_pair(&db, n[1], n[0]));
+        let explored = cache.stats.states();
+        // Outside the footprint: the verdict survives as a memo hit.
+        assert!(db.append(n[2], c, n[0]));
+        assert!(!cache.connects_pair(&db, n[1], n[0]));
+        assert_eq!(cache.stats.states(), explored);
+        // Overlapping the footprint: n1 -a-> n2 -a-> n0 now spells `aa`.
+        assert!(db.append(n[2], a, n[0]));
+        assert!(cache.connects_pair(&db, n[1], n[0]));
+        assert!(cache.stats.states() > explored);
+        db.compact();
+        assert!(cache.connects_pair(&db, n[1], n[0]));
     }
 
     #[test]
