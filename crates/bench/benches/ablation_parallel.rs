@@ -3,7 +3,7 @@
 //! the witness-extraction overhead relative to Boolean evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cxrpq_core::{BoundedEvaluator, CxrpqBuilder, SimpleEvaluator};
+use cxrpq_core::{BoundedEvaluator, CxrpqBuilder, Evaluate, Request, SimpleEvaluator};
 use cxrpq_graph::Alphabet;
 use cxrpq_workloads::graphs;
 use std::sync::Arc;
@@ -25,9 +25,10 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(900));
     let ev = BoundedEvaluator::new(&q, 3);
+    let opts = Request::Boolean.default_options();
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| std::hint::black_box(ev.boolean_parallel(&db, t)));
+            b.iter(|| std::hint::black_box(ev.run_parallel(&db, Request::Boolean, &opts, t)));
         });
     }
     group.finish();

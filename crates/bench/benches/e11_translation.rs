@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cxrpq_core::translate::cxrpq_bounded_to_union;
-use cxrpq_core::{BoundedEvaluator, CxrpqBuilder};
+use cxrpq_core::{BoundedEvaluator, CxrpqBuilder, Evaluate};
 use cxrpq_graph::Alphabet;
 use cxrpq_workloads::graphs;
 use std::sync::Arc;

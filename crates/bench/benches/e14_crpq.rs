@@ -1,7 +1,7 @@
 //! Criterion bench for E14 (Lemma 1): the CRPQ baseline, |D| sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cxrpq_core::{Crpq, CrpqEvaluator};
+use cxrpq_core::{Crpq, CrpqEvaluator, Evaluate};
 use cxrpq_graph::Alphabet;
 use cxrpq_workloads::graphs;
 use std::sync::Arc;

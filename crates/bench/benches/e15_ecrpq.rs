@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cxrpq_automata::parse_regex;
 use cxrpq_core::translate::ecrpq_er_to_cxrpq;
 use cxrpq_core::Ecrpq;
-use cxrpq_core::{EcrpqEvaluator, GraphPattern, RegularRelation, VsfEvaluator};
+use cxrpq_core::{EcrpqEvaluator, Evaluate, GraphPattern, RegularRelation, VsfEvaluator};
 use cxrpq_graph::Alphabet;
 use cxrpq_workloads::graphs::d_anbm;
 use cxrpq_workloads::witnesses::q_anbn;

@@ -39,7 +39,7 @@
 //! `Aborted` and return a subset of the complete answers, an untripped run
 //! must return them all — the CI guard for the governed abort paths.
 
-use cxrpq_core::{Crpq, CrpqEvaluator, Governor, SolveOptions, Strategy};
+use cxrpq_core::{Crpq, CrpqEvaluator, Evaluate, Governor, Request, SolveOptions, Strategy};
 use cxrpq_graph::{Alphabet, GraphBuilder, GraphDb, NodeId, Symbol};
 use cxrpq_workloads::graphs;
 use std::sync::Arc;
@@ -165,13 +165,14 @@ fn run_shape(
 
     // Agreement first: the projected pipeline must reproduce the naive
     // full-enumerate-then-project answers.
-    let (ans_naive, _) = ev.answers_opts(db, &naive);
-    let (ans_piped, stats) = ev.answers_opts(db, &piped);
+    let ans_naive = ev.run(db, Request::Answers, &naive).value.into_tuples();
+    let piped_out = ev.run(db, Request::Answers, &piped);
     assert_eq!(
-        ans_naive, ans_piped,
+        ans_naive,
+        piped_out.value.into_tuples(),
         "{shape}: pipeline changed the answers"
     );
-    let stats = stats.as_ref();
+    let stats = piped_out.pipeline.as_ref();
     let per_source_sweeps = stats.map(|s| s.per_source_sweeps).unwrap_or(false);
     let eliminated_vars = stats.map(|s| s.eliminated_vars).unwrap_or(0);
     let leapfrog_components = stats.map(|s| s.leapfrog_components).unwrap_or(0);
@@ -181,7 +182,10 @@ fn run_shape(
     // under-approximate; an untripped governor must change nothing.
     let governed = smoke_budget().map(|budget| {
         let gov = Arc::new(Governor::unlimited().with_max_steps(budget));
-        let (partial, _) = ev.answers_opts(db, &piped.clone().governed(gov.clone()));
+        let partial = ev
+            .run(db, Request::Answers, &piped.clone().governed(gov.clone()))
+            .value
+            .into_tuples();
         assert!(
             partial.is_subset(&ans_naive),
             "{shape}: governed smoke produced tuples outside the complete relation"
@@ -201,10 +205,10 @@ fn run_shape(
     });
 
     let naive_ms = median_ms(iters, || {
-        std::hint::black_box(ev.answers_opts(db, &naive));
+        std::hint::black_box(ev.run(db, Request::Answers, &naive));
     });
     let pipeline_ms = median_ms(iters, || {
-        std::hint::black_box(ev.answers_opts(db, &piped));
+        std::hint::black_box(ev.run(db, Request::Answers, &piped));
     });
     ShapeResult {
         shape,
@@ -243,14 +247,17 @@ fn run_cyclic_shape(
     let back = SolveOptions::pipeline()
         .projected()
         .with_strategy(Strategy::Backtrack);
-    let (ans_back, _) = ev.answers_opts(db, &back);
-    let (ans_leap, _) = ev.answers_opts(db, &SolveOptions::pipeline().projected());
+    let ans_back = ev.run(db, Request::Answers, &back).value.into_tuples();
+    let ans_leap = ev
+        .run(db, Request::Answers, &SolveOptions::pipeline().projected())
+        .value
+        .into_tuples();
     assert_eq!(
         ans_back, ans_leap,
         "{shape}: forced backtrack disagrees with leapfrog"
     );
     r.backtrack_ms = Some(median_ms(iters, || {
-        std::hint::black_box(ev.answers_opts(db, &back));
+        std::hint::black_box(ev.run(db, Request::Answers, &back));
     }));
     r
 }

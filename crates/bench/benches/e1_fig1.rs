@@ -1,7 +1,7 @@
 //! Criterion bench for E1 (Figure 1): the four genealogy CRPQs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cxrpq_core::CrpqEvaluator;
+use cxrpq_core::{CrpqEvaluator, Evaluate};
 use cxrpq_workloads::genealogy;
 use std::time::Duration;
 

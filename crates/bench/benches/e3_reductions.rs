@@ -4,7 +4,7 @@
 //! PSpace-hardness arguments.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cxrpq_core::{GenericEvaluator, VsfEvaluator};
+use cxrpq_core::{Evaluate, GenericEvaluator, VsfEvaluator};
 use cxrpq_workloads::reductions::{
     alpha_kni, alpha_ni, random_nfa_intersection, theorem1_database,
 };

@@ -1,7 +1,7 @@
 //! Criterion bench for E5 (Lemma 3): simple-CXRPQ evaluation, |D| sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cxrpq_core::{CxrpqBuilder, SimpleEvaluator};
+use cxrpq_core::{CxrpqBuilder, Evaluate, SimpleEvaluator};
 use cxrpq_graph::Alphabet;
 use cxrpq_workloads::graphs;
 use std::sync::Arc;

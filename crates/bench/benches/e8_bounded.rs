@@ -2,7 +2,7 @@
 //! and the k sweep with/without candidate pruning.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cxrpq_core::{BoundedEvaluator, CxrpqBuilder};
+use cxrpq_core::{BoundedEvaluator, CxrpqBuilder, Evaluate};
 use cxrpq_graph::Alphabet;
 use cxrpq_workloads::graphs;
 use std::sync::Arc;

@@ -3,7 +3,7 @@
 //! size, against the brute-force baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cxrpq_core::BoundedEvaluator;
+use cxrpq_core::{BoundedEvaluator, Evaluate};
 use cxrpq_workloads::reductions::{random_hitting_set, theorem7_reduction};
 use std::time::Duration;
 

@@ -6,14 +6,14 @@
 //! cargo run -p cxrpq-bench --release --bin experiments -- e5 e6
 //! ```
 //!
-//! Each experiment corresponds to a paper artefact per the index in
-//! DESIGN.md. The output is self-contained markdown with the shape
-//! expectations stated inline.
+//! Each experiment corresponds to a paper artefact, named in the header
+//! its function prints (e.g. `e1` reproduces Figure 1). The output is
+//! self-contained markdown with the shape expectations stated inline.
 
 use cxrpq_bench::{median_ms, table, time_ms};
 use cxrpq_core::{
-    translate, BoundedEvaluator, CrpqEvaluator, EcrpqEvaluator, GenericEvaluator, GenericOutcome,
-    LogEvaluator, SimpleEvaluator, VsfEvaluator,
+    translate, BoundedEvaluator, CrpqEvaluator, EcrpqEvaluator, Evaluate, GenericEvaluator,
+    GenericOutcome, LogEvaluator, Request, SimpleEvaluator, VsfEvaluator,
 };
 use cxrpq_graph::Alphabet;
 use cxrpq_workloads::{genealogy, graphs, messages, reductions, witnesses};
@@ -296,12 +296,13 @@ fn e5_lemma3() {
         let mut a2 = db.alphabet().clone();
         let q = simple_query(&mut a2);
         let ev = SimpleEvaluator::new(&q).expect("simple");
-        let ((found, states), ms) = time_ms(|| ev.boolean_with_stats(&db));
+        let (out, ms) =
+            time_ms(|| ev.run(&db, Request::Boolean, &Request::Boolean.default_options()));
         rows.push(vec![
             n.to_string(),
             db.size().to_string(),
-            found.to_string(),
-            states.to_string(),
+            out.value.into_bool().to_string(),
+            out.states.to_string(),
             format!("{ms:.2}"),
         ]);
     }
@@ -407,11 +408,13 @@ fn e8_bounded() {
             .build()
             .expect("static");
         let ev = BoundedEvaluator::new(&q, 2);
-        let ((found, stats), ms) = time_ms(|| ev.boolean_with_stats(&db));
+        let ((out, stats), ms) = time_ms(|| {
+            ev.run_with_stats(&db, Request::Boolean, &Request::Boolean.default_options())
+        });
         rows.push(vec![
             n.to_string(),
             db.size().to_string(),
-            found.to_string(),
+            out.value.into_bool().to_string(),
             stats.mappings.to_string(),
             format!("{ms:.2}"),
         ]);
@@ -431,13 +434,19 @@ fn e8_bounded() {
         .expect("static");
     let mut rows = Vec::new();
     for k in 1..=4usize {
-        let (r1, ms1) = time_ms(|| BoundedEvaluator::new(&q, k).boolean_with_stats(&db));
+        let (r1, ms1) = time_ms(|| {
+            BoundedEvaluator::new(&q, k).run_with_stats(
+                &db,
+                Request::Boolean,
+                &Request::Boolean.default_options(),
+            )
+        });
         let (r2, ms2) = time_ms(|| {
             BoundedEvaluator::new(&q, k)
                 .without_pruning()
-                .boolean_with_stats(&db)
+                .run_with_stats(&db, Request::Boolean, &Request::Boolean.default_options())
         });
-        assert_eq!(r1.0, r2.0, "ablation changed the verdict");
+        assert_eq!(r1.0.value, r2.0.value, "ablation changed the verdict");
         rows.push(vec![
             k.to_string(),
             r1.1.mappings.to_string(),
@@ -529,13 +538,17 @@ fn e10_log() {
             .edge("x", "z{(a|b)+}cz", "y")
             .build()
             .expect("static");
-        let ev = LogEvaluator::new(&q);
+        // The log engine is the bounded engine at k = ⌈log₂ |D|⌉; run that
+        // directly for its enumeration counters.
         let k = LogEvaluator::bound_for(&db);
-        let ((found, stats), ms) = time_ms(|| ev.boolean_with_stats(&db));
+        let ev = BoundedEvaluator::new(&q, k);
+        let ((out, stats), ms) = time_ms(|| {
+            ev.run_with_stats(&db, Request::Boolean, &Request::Boolean.default_options())
+        });
         rows.push(vec![
             db.size().to_string(),
             k.to_string(),
-            found.to_string(),
+            out.value.into_bool().to_string(),
             stats.mappings.to_string(),
             format!("{ms:.2}"),
         ]);
@@ -800,12 +813,13 @@ fn e14_crpq() {
             cxrpq_core::Crpq::build(&[("x", "a(a|b)*", "y"), ("y", "(b|c)+", "z")], &[], &mut a2)
                 .unwrap();
         let ev = CrpqEvaluator::new(&q);
-        let ((found, states), ms) = time_ms(|| ev.boolean_with_stats(&db));
+        let (out, ms) =
+            time_ms(|| ev.run(&db, Request::Boolean, &Request::Boolean.default_options()));
         rows.push(vec![
             n.to_string(),
             db.size().to_string(),
-            found.to_string(),
-            states.to_string(),
+            out.value.into_bool().to_string(),
+            out.states.to_string(),
             format!("{ms:.2}"),
         ]);
     }
@@ -1030,10 +1044,16 @@ fn e17_parallel() {
         "true".to_string(),
     ]];
     for threads in [2usize, 4, 8] {
+        let parallel = || {
+            let opts = Request::Answers.default_options();
+            ev.run_parallel(&db, Request::Answers, &opts, threads)
+                .value
+                .into_tuples()
+        };
         let t = median_ms(3, || {
-            let _ = ev.answers_parallel(&db, threads);
+            let _ = parallel();
         });
-        let agree = ev.answers_parallel(&db, threads) == serial;
+        let agree = parallel() == serial;
         rows.push(vec![
             threads.to_string(),
             format!("{t:.2}"),

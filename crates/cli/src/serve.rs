@@ -29,7 +29,7 @@ use crate::{parse_engine, parse_graph, CmdError, EvalCmdOptions};
 use cxrpq_core::{CacheConfig, EvalOptions, Governor, QueryCache, ServedAnswers, Verdict};
 use cxrpq_graph::GraphDb;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -39,6 +39,12 @@ use std::time::Duration;
 /// How often a request handler checks its socket for a disconnect while
 /// the query evaluates.
 const WATCH_TICK: Duration = Duration::from_millis(25);
+
+/// Longest request line read, in bytes without the newline. A client that
+/// sends more without a newline gets `err request line too long` and the
+/// connection closes, so no client can make the server buffer without
+/// bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Configuration for [`run_serve`].
 #[derive(Clone, Debug)]
@@ -153,10 +159,19 @@ fn handle_connection(srv: &Server, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    loop {
+        let line = match read_request_line(&mut reader) {
+            RequestLine::Text(line) => line,
+            RequestLine::TooLong => {
+                srv.errors.fetch_add(1, Ordering::Relaxed);
+                let _ = writer.write_all(render_error("request line too long").as_bytes());
+                let _ = writer.flush();
+                break;
+            }
+            RequestLine::End => break,
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -180,6 +195,33 @@ fn handle_connection(srv: &Server, stream: TcpStream) {
             break;
         }
     }
+}
+
+/// One read from a connection.
+enum RequestLine {
+    /// A complete line, newline stripped.
+    Text(String),
+    /// More than [`MAX_REQUEST_LINE`] bytes without a newline.
+    TooLong,
+    /// End of stream, a read error or a line that is not UTF-8.
+    End,
+}
+
+/// Reads one request line, consuming at most [`MAX_REQUEST_LINE`] + 1
+/// bytes. A last line without a newline still counts as a line.
+fn read_request_line(reader: &mut impl BufRead) -> RequestLine {
+    let mut buf = Vec::new();
+    let cap = MAX_REQUEST_LINE as u64 + 1;
+    match reader.take(cap).read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return RequestLine::End,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_REQUEST_LINE {
+        return RequestLine::TooLong;
+    }
+    String::from_utf8(buf).map_or(RequestLine::End, RequestLine::Text)
 }
 
 /// Evaluates one query request line through the shared cache under a

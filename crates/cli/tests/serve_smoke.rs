@@ -3,6 +3,7 @@
 //! governed abort, protocol verbs), shared-cache warm hits, and a clean
 //! `SHUTDOWN`.
 
+use cxrpq_cli::serve::MAX_REQUEST_LINE;
 use cxrpq_cli::{run_serve, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -198,6 +199,48 @@ fn serve_cancels_on_disconnect() {
     let mut c = Client::connect(addr);
     let r = c.request(Q_SIMPLE);
     assert!(r[0].starts_with("ok "), "server still serving: {r:?}");
+    let down = c.request("SHUTDOWN");
+    assert_eq!(down[0], "ok shutting down");
+    server.join().expect("server thread").expect("serve ok");
+}
+
+#[test]
+fn serve_refuses_an_overlong_request_line() {
+    let (tx, rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        run_serve(
+            GRAPH,
+            ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..ServeConfig::default()
+            },
+            move |addr| tx.send(addr).unwrap(),
+        )
+    });
+    let addr = rx.recv().expect("server ready");
+
+    // One byte past the cap and no newline: the server answers once and
+    // hangs up instead of buffering on.
+    let mut long = Client::connect(addr);
+    long.writer
+        .write_all(&vec![b'a'; MAX_REQUEST_LINE + 1])
+        .expect("send");
+    long.writer.flush().expect("flush");
+    assert_eq!(long.read_frame(), ["err request line too long"]);
+    let mut rest = String::new();
+    assert_eq!(long.reader.read_line(&mut rest).expect("read"), 0);
+
+    // A line of exactly the cap is read whole (a parse error, not a
+    // refusal), and other connections are unaffected.
+    let mut c = Client::connect(addr);
+    let at_cap = "a".repeat(MAX_REQUEST_LINE);
+    let r = c.request(&at_cap);
+    assert!(
+        r[0].starts_with("err ") && r[0] != "err request line too long",
+        "{r:?}"
+    );
+    let ok = c.request(Q_SIMPLE);
+    assert!(ok[0].starts_with("ok "), "{ok:?}");
     let down = c.request("SHUTDOWN");
     assert_eq!(down[0], "ok shutting down");
     server.join().expect("server thread").expect("serve ok");

@@ -1,6 +1,6 @@
 //! Static query analysis ahead of the planner.
 //!
-//! [`analyze`] inspects a [`Problem`](crate::solve::Problem)'s constraints
+//! `analyze` inspects a [`Problem`](crate::solve::Problem)'s constraints
 //! purely at the automaton level — no graph search runs — and produces a
 //! [`Diagnostics`] report plus a semantics-preserving rewrite plan the
 //! solver applies before [`SolvePlan::build`](crate::plan::SolvePlan):
@@ -29,16 +29,16 @@
 //!   as variables) is reported as `cyclic-pattern`, the backtracker's
 //!   worst shape.
 //!
-//! The analyzer is on by default ([`SolveOptions::analyze`]
-//! (crate::solve::SolveOptions)); the `naive` preset stays unanalyzed as
-//! the differential reference.
+//! The analyzer is on by default
+//! ([`SolveOptions::analyze`](crate::solve::SolveOptions::analyze)); the
+//! `naive` preset stays unanalyzed as the differential reference.
 
 use crate::diagnostics::{AtomRef, Diagnostics, Lint, Severity};
 use crate::solve::{FreeEdge, Group};
 use cxrpq_automata::{Label, Nfa};
 use cxrpq_graph::GraphDb;
 
-/// Knobs for one [`analyze`] run.
+/// Knobs for one `analyze` run.
 #[derive(Clone, Copy, Debug)]
 pub struct AnalyzeOptions {
     /// Cap on visited product states per bounded inclusion/universality

@@ -12,44 +12,41 @@
 
 use crate::crpq::CrpqEvaluator;
 use crate::cxrpq::Cxrpq;
+use crate::evaluate::{verdict_of, Answer, Evaluate, Outcome, Request};
 use crate::governor::Governor;
 use crate::solve::SolveOptions;
-use crate::witness::QueryWitness;
 use cxrpq_automata::Nfa;
-use cxrpq_graph::{GraphDb, NodeId, Symbol};
+use cxrpq_graph::{GraphDb, Symbol};
 use cxrpq_xregex::specialize::{specialize, substituted_body, VarMapping};
 use cxrpq_xregex::{Var, Xregex};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-/// Counters from one evaluation run (experiment E8's measurable content).
+/// Enumeration counters from one run (experiment E8's measurable content;
+/// the product states explored are [`Outcome::states`]).
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct BoundedStats {
     /// Candidate variable mappings visited.
     pub mappings: usize,
     /// Mappings whose specialization was non-empty (CRPQs evaluated).
     pub crpqs_evaluated: usize,
-    /// Product states explored across all CRPQ evaluations.
-    pub product_states: usize,
 }
 
 /// The `CXRPQ^{≤k}` engine.
+///
+/// A governor on the run's [`SolveOptions`] bounds the mapping enumeration
+/// (one checkpoint per enumeration node) and every specialized-CRPQ run;
+/// an abort truncates the enumeration, so the result is a sound
+/// under-approximation.
 pub struct BoundedEvaluator<'q> {
     q: &'q Cxrpq,
     k: usize,
     prune: bool,
-    gov: Option<Arc<Governor>>,
 }
 
 impl<'q> BoundedEvaluator<'q> {
     /// Evaluator for `q^{≤k}` with candidate pruning enabled.
     pub fn new(q: &'q Cxrpq, k: usize) -> Self {
-        Self {
-            q,
-            k,
-            prune: true,
-            gov: None,
-        }
+        Self { q, k, prune: true }
     }
 
     /// Disables candidate pruning (blind `(Σ^{≤k})ⁿ` enumeration) — the
@@ -57,27 +54,6 @@ impl<'q> BoundedEvaluator<'q> {
     pub fn without_pruning(mut self) -> Self {
         self.prune = false;
         self
-    }
-
-    /// Runs the mapping enumeration *and* every specialized-CRPQ solve
-    /// under `gov`: one checkpoint per enumeration node, governed solver
-    /// options on the inner evaluations. An abort truncates the mapping
-    /// enumeration — the result is a sound under-approximation.
-    pub fn governed(mut self, gov: Arc<Governor>) -> Self {
-        self.gov = Some(gov);
-        self
-    }
-
-    fn gov_ref(&self) -> &Governor {
-        self.gov.as_deref().unwrap_or(Governor::disabled())
-    }
-
-    /// Attaches the evaluator's governor (if any) to inner solver options.
-    fn opts(&self, base: SolveOptions) -> SolveOptions {
-        match &self.gov {
-            Some(g) => base.governed(g.clone()),
-            None => base,
-        }
     }
 
     /// The image bound k.
@@ -118,19 +94,6 @@ impl<'q> BoundedEvaluator<'q> {
         bodies
     }
 
-    /// Enumerates candidate mappings in ≺-topological order; `f` returns
-    /// `true` to stop.
-    fn for_each_mapping(
-        &self,
-        sigma: usize,
-        stats: &mut BoundedStats,
-        f: &mut dyn FnMut(&VarMapping, &mut BoundedStats) -> bool,
-    ) -> bool {
-        let order = self.q.conjunctive().topological_vars();
-        let mut psi = VarMapping::new();
-        self.rec(&order, 0, sigma, &mut psi, stats, f)
-    }
-
     /// Candidate images of `x` given the images of ≺-earlier variables.
     fn candidates_for(&self, x: Var, psi: &VarMapping, sigma: usize) -> Vec<Vec<Symbol>> {
         let bodies = self.def_bodies(x);
@@ -151,31 +114,33 @@ impl<'q> BoundedEvaluator<'q> {
         }
     }
 
+    /// Enumerates candidate mappings extending `psi` over
+    /// `walk.order[idx..]` in ≺-topological order; `f` returns `true` to
+    /// stop.
     fn rec(
         &self,
-        order: &[Var],
+        walk: &Walk<'_>,
         idx: usize,
-        sigma: usize,
         psi: &mut VarMapping,
         stats: &mut BoundedStats,
         f: &mut dyn FnMut(&VarMapping, &mut BoundedStats) -> bool,
     ) -> bool {
         // One checkpoint per enumeration node; an abort reports "no hit"
         // for the whole subtree (sound under-approximation).
-        if !self.gov_ref().checkpoint() {
+        if !walk.gov.checkpoint() {
             return false;
         }
-        if idx == order.len() {
+        if idx == walk.order.len() {
             stats.mappings += 1;
             return f(psi, stats);
         }
-        let x = order[idx];
-        for c in self.candidates_for(x, psi, sigma) {
-            if self.gov_ref().is_aborted() {
+        let x = walk.order[idx];
+        for c in self.candidates_for(x, psi, walk.sigma) {
+            if walk.gov.is_aborted() {
                 break;
             }
             psi.insert(x, c);
-            if self.rec(order, idx + 1, sigma, psi, stats, f) {
+            if self.rec(walk, idx + 1, psi, stats, f) {
                 psi.remove(&x);
                 return true;
             }
@@ -184,69 +149,57 @@ impl<'q> BoundedEvaluator<'q> {
         false
     }
 
-    /// Boolean evaluation `D ⊨_{≤k} q`.
-    pub fn boolean(&self, db: &GraphDb) -> bool {
-        self.boolean_with_stats(db).0
+    /// One candidate mapping's share of a run: specialize (Lemma 10/11),
+    /// answer `req` on the resulting CRPQ, and fold its outcome into `out`
+    /// (a witness takes the mapping as its variable images). Returns
+    /// whether `out` is settled.
+    fn on_mapping(
+        &self,
+        db: &GraphDb,
+        req: Request<'_>,
+        opts: &SolveOptions,
+        psi: &VarMapping,
+        stats: &mut BoundedStats,
+        out: &mut Outcome,
+    ) -> bool {
+        let Some(regexes) = specialize(self.q.conjunctive(), psi) else {
+            return false;
+        };
+        stats.crpqs_evaluated += 1;
+        let crpq = self.q.to_crpq(&regexes);
+        let mut sub = CrpqEvaluator::new(&crpq).run(db, req, opts);
+        if let Answer::Witness(Some(w)) = &mut sub.value {
+            let vars = self.q.conjunctive().vars();
+            w.images = psi
+                .iter()
+                .map(|(x, img)| (vars.name(*x).to_string(), img.clone()))
+                .collect();
+        }
+        out.absorb(sub);
+        out.value.is_settled()
     }
 
-    /// Boolean evaluation with enumeration counters.
-    pub fn boolean_with_stats(&self, db: &GraphDb) -> (bool, BoundedStats) {
-        let sigma = db.alphabet().len();
+    /// [`Evaluate::run`] plus the enumeration counters.
+    pub fn run_with_stats(
+        &self,
+        db: &GraphDb,
+        req: Request<'_>,
+        opts: &SolveOptions,
+    ) -> (Outcome, BoundedStats) {
+        let order = self.q.conjunctive().topological_vars();
+        let walk = Walk::new(&order, db, opts);
+        let inner = inner_options(opts);
+        let mut out = Outcome::new(Answer::none(req), opts);
         let mut stats = BoundedStats::default();
-        let hit = self.for_each_mapping(sigma, &mut stats, &mut |psi, stats| {
-            let Some(regexes) = specialize(self.q.conjunctive(), psi) else {
-                return false;
-            };
-            stats.crpqs_evaluated += 1;
-            let crpq = self.q.to_crpq(&regexes);
-            let (found, states) = CrpqEvaluator::new(&crpq)
-                .boolean_with_stats_opts(db, &self.opts(SolveOptions::early_exit().projected()));
-            stats.product_states += states;
-            found
-        });
-        (hit, stats)
-    }
-
-    /// The answer relation `q^{≤k}(D)` — the union of the specialized
-    /// CRPQs' answers over all candidate mappings.
-    pub fn answers(&self, db: &GraphDb) -> BTreeSet<Vec<NodeId>> {
-        let sigma = db.alphabet().len();
-        let mut out = BTreeSet::new();
-        let mut stats = BoundedStats::default();
-        self.for_each_mapping(sigma, &mut stats, &mut |psi, _| {
-            if let Some(regexes) = specialize(self.q.conjunctive(), psi) {
-                let crpq = self.q.to_crpq(&regexes);
-                out.extend(
-                    CrpqEvaluator::new(&crpq)
-                        .answers_opts(db, &self.opts(SolveOptions::pipeline().projected()))
-                        .0,
-                );
-            }
-            false
-        });
-        out
-    }
-
-    /// The Check problem `t̄ ∈ q^{≤k}(D)`.
-    pub fn check(&self, db: &GraphDb, tuple: &[NodeId]) -> bool {
-        let sigma = db.alphabet().len();
-        let mut stats = BoundedStats::default();
-        self.for_each_mapping(sigma, &mut stats, &mut |psi, _| {
-            if let Some(regexes) = specialize(self.q.conjunctive(), psi) {
-                let crpq = self.q.to_crpq(&regexes);
-                if CrpqEvaluator::new(&crpq)
-                    .check_opts(
-                        db,
-                        tuple,
-                        &self.opts(SolveOptions::early_exit().projected()),
-                    )
-                    .0
-                {
-                    return true;
-                }
-            }
-            false
-        })
+        self.rec(
+            &walk,
+            0,
+            &mut VarMapping::new(),
+            &mut stats,
+            &mut |psi, stats| self.on_mapping(db, req, &inner, psi, stats, &mut out),
+        );
+        out.verdict = verdict_of(opts);
+        (out, stats)
     }
 
     /// Evaluation under one fixed mapping: `D ⊨_{v̄} q` (used by tests and
@@ -258,135 +211,89 @@ impl<'q> BoundedEvaluator<'q> {
         }
     }
 
-    /// Boolean evaluation parallelized across candidate images of the first
+    /// [`Evaluate::run`] parallelized across candidate images of the first
     /// ≺-variable — candidate mappings are independent, so the enumeration
     /// splits embarrassingly (the NP guess of Theorem 6 explored in
-    /// parallel). Falls back to the serial path for variable-free queries or
-    /// `threads ≤ 1`.
-    pub fn boolean_parallel(&self, db: &GraphDb, threads: usize) -> bool {
+    /// parallel). Shards stop once any of them settles the request;
+    /// partial answers are merged in shard order. Falls back to the serial
+    /// run for variable-free queries or `threads ≤ 1`.
+    pub fn run_parallel(
+        &self,
+        db: &GraphDb,
+        req: Request<'_>,
+        opts: &SolveOptions,
+        threads: usize,
+    ) -> Outcome {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let sigma = db.alphabet().len();
         let order = self.q.conjunctive().topological_vars();
         if order.is_empty() || threads <= 1 {
-            return self.boolean(db);
+            return self.run(db, req, opts);
         }
+        let walk = Walk::new(&order, db, opts);
+        let inner = inner_options(opts);
         let x = order[0];
-        let candidates = self.candidates_for(x, &VarMapping::new(), sigma);
-        if candidates.is_empty() {
-            return false;
-        }
-        let found = AtomicBool::new(false);
-        let order = &order;
-        crate::pool::WorkerPool::global().run_sharded(&candidates, threads, |_, chunk| {
-            for c in chunk {
-                if found.load(Ordering::Relaxed) || self.gov_ref().is_aborted() {
-                    return;
-                }
-                let mut psi = VarMapping::new();
-                psi.insert(x, c.clone());
-                let mut stats = BoundedStats::default();
-                let hit =
-                    self.rec(
-                        order,
-                        1,
-                        sigma,
-                        &mut psi,
-                        &mut stats,
-                        &mut |psi, _| match specialize(self.q.conjunctive(), psi) {
-                            Some(regexes) => {
-                                CrpqEvaluator::new(&self.q.to_crpq(&regexes)).boolean(db)
-                            }
-                            None => false,
-                        },
-                    );
-                if hit {
-                    found.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-        });
-        found.load(Ordering::Relaxed)
-    }
-
-    /// The answer relation computed in parallel (same split as
-    /// [`Self::boolean_parallel`]; per-thread partial answers are merged).
-    pub fn answers_parallel(&self, db: &GraphDb, threads: usize) -> BTreeSet<Vec<NodeId>> {
-        let sigma = db.alphabet().len();
-        let order = self.q.conjunctive().topological_vars();
-        if order.is_empty() || threads <= 1 {
-            return self.answers(db);
-        }
-        let x = order[0];
-        let candidates = self.candidates_for(x, &VarMapping::new(), sigma);
-        if candidates.is_empty() {
-            return BTreeSet::new();
-        }
-        let order = &order;
+        let candidates = self.candidates_for(x, &VarMapping::new(), walk.sigma);
+        let settled = AtomicBool::new(false);
         let partials =
             crate::pool::WorkerPool::global().run_sharded(&candidates, threads, |_, chunk| {
-                let mut local: BTreeSet<Vec<NodeId>> = BTreeSet::new();
+                let mut local = Outcome::new(Answer::none(req), opts);
+                let mut stats = BoundedStats::default();
                 for c in chunk {
-                    if self.gov_ref().is_aborted() {
+                    if settled.load(Ordering::Relaxed) || walk.gov.is_aborted() {
                         break;
                     }
                     let mut psi = VarMapping::new();
                     psi.insert(x, c.clone());
-                    let mut stats = BoundedStats::default();
-                    self.rec(order, 1, sigma, &mut psi, &mut stats, &mut |psi, _| {
-                        if let Some(regexes) = specialize(self.q.conjunctive(), psi) {
-                            let crpq = self.q.to_crpq(&regexes);
-                            local.extend(CrpqEvaluator::new(&crpq).answers(db));
-                        }
-                        false
+                    self.rec(&walk, 1, &mut psi, &mut stats, &mut |psi, stats| {
+                        self.on_mapping(db, req, &inner, psi, stats, &mut local)
                     });
+                    if local.value.is_settled() {
+                        settled.store(true, Ordering::Relaxed);
+                        break;
+                    }
                 }
                 local
             });
-        let mut merged: BTreeSet<Vec<NodeId>> = BTreeSet::new();
+        let mut out = Outcome::new(Answer::none(req), opts);
         for local in partials {
-            merged.extend(local);
+            out.absorb(local);
         }
-        merged
+        out.verdict = verdict_of(opts);
+        out
     }
+}
 
-    /// A certificate for some matching morphism under the `≤k` semantics:
-    /// the first candidate mapping whose specialized CRPQ matches supplies
-    /// the paths; the images are the mapping itself.
-    pub fn witness(&self, db: &GraphDb) -> Option<QueryWitness> {
-        self.witness_impl(db, None)
+/// What a mapping enumeration walks: the ≺-topological variable order, the
+/// alphabet size and the run's governor.
+struct Walk<'a> {
+    order: &'a [Var],
+    sigma: usize,
+    gov: &'a Governor,
+}
+
+impl<'a> Walk<'a> {
+    fn new(order: &'a [Var], db: &GraphDb, opts: &'a SolveOptions) -> Self {
+        Self {
+            order,
+            sigma: db.alphabet().len(),
+            gov: opts.governor.as_deref().unwrap_or(Governor::disabled()),
+        }
     }
+}
 
-    /// A certificate for `t̄ ∈ q^{≤k}(D)`.
-    pub fn witness_for(&self, db: &GraphDb, tuple: &[NodeId]) -> Option<QueryWitness> {
-        self.witness_impl(db, Some(tuple))
+/// The run's options for the specialized CRPQs. A plan seed describes the
+/// bounded query's own constraint graph, not the specialized CRPQs', so it
+/// is dropped.
+fn inner_options(opts: &SolveOptions) -> SolveOptions {
+    SolveOptions {
+        plan_seed: None,
+        ..opts.clone()
     }
+}
 
-    fn witness_impl(&self, db: &GraphDb, tuple: Option<&[NodeId]>) -> Option<QueryWitness> {
-        let sigma = db.alphabet().len();
-        let vars = self.q.conjunctive().vars();
-        let mut stats = BoundedStats::default();
-        let mut found: Option<QueryWitness> = None;
-        self.for_each_mapping(sigma, &mut stats, &mut |psi, _| {
-            let Some(regexes) = specialize(self.q.conjunctive(), psi) else {
-                return false;
-            };
-            let crpq = self.q.to_crpq(&regexes);
-            let ev = CrpqEvaluator::new(&crpq);
-            let w = match tuple {
-                Some(t) => ev.witness_for(db, t),
-                None => ev.witness(db),
-            };
-            if let Some(mut w) = w {
-                w.images = psi
-                    .iter()
-                    .map(|(x, img)| (vars.name(*x).to_string(), img.clone()))
-                    .collect();
-                found = Some(w);
-                return true;
-            }
-            false
-        });
-        found
+impl Evaluate for BoundedEvaluator<'_> {
+    fn run(&self, db: &GraphDb, req: Request<'_>, opts: &SolveOptions) -> Outcome {
+        self.run_with_stats(db, req, opts).0
     }
 }
 
@@ -394,8 +301,9 @@ impl<'q> BoundedEvaluator<'q> {
 mod tests {
     use super::*;
     use crate::cxrpq::CxrpqBuilder;
-    use cxrpq_graph::Alphabet;
+    use crate::governor::{AbortReason, Verdict};
     use cxrpq_graph::GraphBuilder;
+    use cxrpq_graph::{Alphabet, NodeId};
     use std::sync::Arc;
 
     fn path_db(words: &[&str]) -> (GraphDb, Vec<(NodeId, NodeId)>) {
@@ -450,10 +358,11 @@ mod tests {
             .edge("x", "z{ab}cz", "y") // z can only be "ab" (or ε)
             .build()
             .unwrap();
-        let (_, s1) = BoundedEvaluator::new(&q, 3).boolean_with_stats(&db);
+        let opts = Request::Boolean.default_options();
+        let (_, s1) = BoundedEvaluator::new(&q, 3).run_with_stats(&db, Request::Boolean, &opts);
         let (_, s2) = BoundedEvaluator::new(&q, 3)
             .without_pruning()
-            .boolean_with_stats(&db);
+            .run_with_stats(&db, Request::Boolean, &opts);
         assert!(
             s1.mappings < s2.mappings,
             "pruned {} !< blind {}",
@@ -522,16 +431,14 @@ mod tests {
             for k in 1..=2 {
                 let ev = BoundedEvaluator::new(&q, k);
                 for threads in [1, 2, 4] {
-                    assert_eq!(
-                        ev.boolean(&db),
-                        ev.boolean_parallel(&db, threads),
-                        "{pat} k={k} threads={threads}"
-                    );
-                    assert_eq!(
-                        ev.answers(&db),
-                        ev.answers_parallel(&db, threads),
-                        "{pat} k={k} threads={threads}"
-                    );
+                    for req in [Request::Boolean, Request::Answers] {
+                        let opts = req.default_options();
+                        assert_eq!(
+                            ev.run(&db, req, &opts).value,
+                            ev.run_parallel(&db, req, &opts, threads).value,
+                            "{pat} k={k} threads={threads} {req:?}"
+                        );
+                    }
                 }
             }
         }
@@ -547,9 +454,10 @@ mod tests {
             .build()
             .unwrap();
         let ev = BoundedEvaluator::new(&q, 1);
-        assert!(ev.boolean_parallel(&db, 4));
-        assert!(ev
-            .answers_parallel(&db, 4)
+        let par = |req: Request| ev.run_parallel(&db, req, &req.default_options(), 4).value;
+        assert!(par(Request::Boolean).into_bool());
+        assert!(par(Request::Answers)
+            .into_tuples()
             .contains(&vec![ends[0].0, ends[0].1]));
     }
 
@@ -562,12 +470,15 @@ mod tests {
             .output(&["x", "y"])
             .build()
             .unwrap();
-        let complete = BoundedEvaluator::new(&q, 1).answers(&db);
+        let ev = BoundedEvaluator::new(&q, 1);
+        let complete = ev.answers(&db);
+        let governed = |gov: &Arc<Governor>| {
+            let opts = Request::Answers.default_options().governed(gov.clone());
+            ev.run(&db, Request::Answers, &opts)
+        };
         for fuel in 0..24 {
             let gov = Arc::new(Governor::unlimited().with_max_steps(fuel));
-            let partial = BoundedEvaluator::new(&q, 1)
-                .governed(gov.clone())
-                .answers(&db);
+            let partial = governed(&gov).value.into_tuples();
             assert!(
                 partial.is_subset(&complete),
                 "fuel {fuel}: partial must under-approximate"
@@ -575,11 +486,46 @@ mod tests {
         }
         // Enough fuel: identical relation, governor never trips.
         let gov = Arc::new(Governor::unlimited().with_max_steps(u64::MAX));
-        let full = BoundedEvaluator::new(&q, 1)
-            .governed(gov.clone())
-            .answers(&db);
-        assert_eq!(full, complete);
-        assert!(!gov.is_aborted());
+        let full = governed(&gov);
+        assert_eq!(full.value.into_tuples(), complete);
+        assert!(full.verdict.is_complete());
+    }
+
+    #[test]
+    fn governed_parallel_runs_abort_soundly() {
+        let (db, _) = path_db(&["abcab", "aabaa", "cc", "bacba"]);
+        let mut alpha = db.alphabet().clone();
+        let q = CxrpqBuilder::new(&mut alpha)
+            .edge("u", "y{a|b}x{yy}cx", "v")
+            .output(&["u", "v"])
+            .build()
+            .unwrap();
+        let ev = BoundedEvaluator::new(&q, 2);
+        let complete = ev.answers(&db);
+        // Every injection point inside the run trips it: the inner CRPQ
+        // solves checkpoint on the same governor as the enumeration.
+        let dry = Arc::new(Governor::unlimited());
+        let opts = Request::Answers.default_options().governed(dry.clone());
+        ev.run_parallel(&db, Request::Answers, &opts, 2);
+        let inner = dry.checkpoints_seen();
+        assert!(inner > 0);
+        for k in (1..=inner).step_by((inner as usize / 50).max(1)) {
+            for req in [Request::Boolean, Request::Answers] {
+                let gov = Arc::new(Governor::unlimited().with_injection(k));
+                let opts = req.default_options().governed(gov);
+                let out = ev.run_parallel(&db, req, &opts, 2);
+                if let Answer::Tuples(partial) = &out.value {
+                    assert!(partial.is_subset(&complete), "k={k}");
+                }
+                if req == Request::Answers {
+                    assert_eq!(
+                        out.verdict,
+                        Verdict::Aborted(AbortReason::Injected),
+                        "k={k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

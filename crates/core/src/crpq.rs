@@ -1,14 +1,14 @@
 //! Conjunctive regular path queries (CRPQ) — the paper's baseline class
 //! (§2.3, Lemma 1: NP-complete combined / NL-complete data complexity).
 
-use crate::governor::Outcome;
+use crate::evaluate::{Evaluate, Outcome, Request};
+use crate::governor::Governor;
 use crate::pattern::{GraphPattern, NodeVar};
 use crate::reach::ReachCache;
-use crate::solve::{FreeEdge, PipelineStats, Problem, SolveOptions};
-use crate::witness::QueryWitness;
+use crate::solve::{run_solver, FreeEdge, Problem, SolveOptions, SolverBacked};
+use crate::witness::{edge_path_governed, morphism_of, QueryWitness};
 use cxrpq_automata::{parse_regex, Nfa, ParseError, Regex};
 use cxrpq_graph::{Alphabet, GraphDb, NodeId};
-use std::collections::{BTreeSet, HashMap};
 
 /// A CRPQ `z̄ ← G_q` with classical regular expressions as edge labels.
 #[derive(Clone, Debug)]
@@ -84,6 +84,10 @@ impl Crpq {
 }
 
 /// Evaluator for CRPQs: one reachability cache per edge + conjunctive join.
+///
+/// Answers every [`Request`] through the shared solver driver; the answer
+/// relation uses projection pushdown (variables outside the output tuple
+/// are existentially eliminated and each projected tuple is emitted once).
 pub struct CrpqEvaluator<'q> {
     q: &'q Crpq,
 }
@@ -93,7 +97,9 @@ impl<'q> CrpqEvaluator<'q> {
     pub fn new(q: &'q Crpq) -> Self {
         Self { q }
     }
+}
 
+impl SolverBacked for CrpqEvaluator<'_> {
     fn problem(&self) -> Problem {
         let mut p = Problem::new(self.q.pattern.node_count());
         for (src, re, dst) in self.q.pattern.edges() {
@@ -106,201 +112,30 @@ impl<'q> CrpqEvaluator<'q> {
         p
     }
 
-    /// Boolean evaluation `D ⊨ q`.
-    pub fn boolean(&self, db: &GraphDb) -> bool {
-        self.boolean_with_stats(db).0
+    fn output(&self) -> &[NodeVar] {
+        &self.q.output
     }
 
-    /// Boolean evaluation plus the number of product states explored (the
-    /// measured proxy for the NL space bound).
-    pub fn boolean_with_stats(&self, db: &GraphDb) -> (bool, usize) {
-        self.boolean_with_stats_opts(db, &SolveOptions::early_exit().projected())
-    }
-
-    /// [`CrpqEvaluator::boolean_with_stats`] under explicit solver options
-    /// (the bounded engine passes governed options through here).
-    pub fn boolean_with_stats_opts(&self, db: &GraphDb, opts: &SolveOptions) -> (bool, usize) {
-        let mut p = self.problem();
-        let mut found = false;
-        p.solve_with(db, &HashMap::new(), &[], opts, &mut |_| {
-            found = true;
-            true
-        });
-        let mut states = p.stats.states();
-        for e in &p.free_edges {
-            states += e.cache.stats.states();
-        }
-        (found, states)
-    }
-
-    /// [`CrpqEvaluator::boolean`] under explicit solver options, with the
-    /// pipeline stats of the run.
-    pub fn boolean_opts(&self, db: &GraphDb, opts: &SolveOptions) -> (bool, Option<PipelineStats>) {
-        let mut p = self.problem();
-        let mut found = false;
-        p.solve_with(db, &HashMap::new(), &[], opts, &mut |_| {
-            found = true;
-            true
-        });
-        (found, p.pipeline.take())
-    }
-
-    /// The answer relation `q(D)` (projections of matching morphisms onto
-    /// the output tuple), computed with projection pushdown: variables
-    /// outside the output tuple are existentially eliminated and each
-    /// projected tuple is emitted once, directly.
-    pub fn answers(&self, db: &GraphDb) -> BTreeSet<Vec<NodeId>> {
-        self.answers_opts(db, &SolveOptions::pipeline().projected())
-            .0
-    }
-
-    /// [`CrpqEvaluator::answers`] under explicit solver options, with the
-    /// pipeline stats of the run — the hook differential tests, benches and
-    /// the engine's observability use. Exhaustive enumeration defaults to
-    /// the full pipeline: the prune phase batch-warms every edge cache over
-    /// the shrinking candidate domains (subsuming the old whole-database
-    /// prefill). Pass [`SolveOptions::projected`] to push the output
-    /// projection into the enumerator (the naive reference path without it
-    /// is full-enumerate-then-project).
-    pub fn answers_opts(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
-        let mut out = BTreeSet::new();
-        let mut p = self.problem();
-        let output = self.q.output.clone();
-        p.solve_with(db, &HashMap::new(), &output, opts, &mut |bindings| {
-            out.insert(
-                output
-                    .iter()
-                    .map(|v| bindings[v.index()].expect("required var bound"))
-                    .collect(),
-            );
-            false
-        });
-        (out, p.pipeline.take())
-    }
-
-    /// The Check problem: `t̄ ∈ q(D)`.
-    pub fn check(&self, db: &GraphDb, tuple: &[NodeId]) -> bool {
-        self.check_opts(db, tuple, &SolveOptions::early_exit().projected())
-            .0
-    }
-
-    /// [`CrpqEvaluator::check`] under explicit solver options, with the
-    /// pipeline stats of the run.
-    pub fn check_opts(
-        &self,
-        db: &GraphDb,
-        tuple: &[NodeId],
-        opts: &SolveOptions,
-    ) -> (bool, Option<PipelineStats>) {
-        assert_eq!(tuple.len(), self.q.output.len(), "arity mismatch");
-        let mut pinned = HashMap::new();
-        for (v, n) in self.q.output.iter().zip(tuple) {
-            // Repeated output variables must agree.
-            if let Some(&prev) = pinned.get(v) {
-                if prev != *n {
-                    return (false, None);
-                }
-            }
-            pinned.insert(*v, *n);
-        }
-        let mut p = self.problem();
-        let mut found = false;
-        p.solve_with(db, &pinned, &[], opts, &mut |_| {
-            found = true;
-            true
-        });
-        (found, p.pipeline.take())
-    }
-
-    /// [`CrpqEvaluator::boolean_opts`] with the run's [`Verdict`]: an
-    /// aborted run may report `false` where a complete run would say `true`
-    /// (sound under-approximation) and tags the result
-    /// [`crate::governor::Verdict::Aborted`].
-    pub fn boolean_outcome(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (Outcome<bool>, Option<PipelineStats>) {
-        let (found, stats) = self.boolean_opts(db, opts);
-        (
-            Outcome::from_governor(found, opts.governor.as_deref()),
-            stats,
-        )
-    }
-
-    /// [`CrpqEvaluator::answers_opts`] with the run's [`Verdict`]: an
-    /// aborted run returns the partial answers accumulated before the trip
-    /// (always a subset of the complete relation).
-    pub fn answers_outcome(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (Outcome<BTreeSet<Vec<NodeId>>>, Option<PipelineStats>) {
-        let (ans, stats) = self.answers_opts(db, opts);
-        (Outcome::from_governor(ans, opts.governor.as_deref()), stats)
-    }
-
-    /// [`CrpqEvaluator::check_opts`] with the run's [`Verdict`].
-    pub fn check_outcome(
-        &self,
-        db: &GraphDb,
-        tuple: &[NodeId],
-        opts: &SolveOptions,
-    ) -> (Outcome<bool>, Option<PipelineStats>) {
-        let (found, stats) = self.check_opts(db, tuple, opts);
-        (
-            Outcome::from_governor(found, opts.governor.as_deref()),
-            stats,
-        )
-    }
-
-    /// A certificate for *some* matching morphism: the morphism plus one
-    /// witnessing path per edge (§8's path-extraction extension). `None` iff
-    /// `D ⊭ q`.
-    pub fn witness(&self, db: &GraphDb) -> Option<QueryWitness> {
-        self.witness_impl(db, &HashMap::new())
-    }
-
-    /// A certificate for `t̄ ∈ q(D)`. `None` iff the tuple is not an answer.
-    pub fn witness_for(&self, db: &GraphDb, tuple: &[NodeId]) -> Option<QueryWitness> {
-        let pinned = crate::witness::pin_tuple(self.q.output(), tuple)?;
-        self.witness_impl(db, &pinned)
-    }
-
-    fn witness_impl(
-        &self,
-        db: &GraphDb,
-        pinned: &HashMap<NodeVar, NodeId>,
-    ) -> Option<QueryWitness> {
-        let mut p = self.problem();
-        let required: Vec<NodeVar> = self.q.pattern.node_vars().collect();
-        let mut sol: Option<Vec<Option<NodeId>>> = None;
-        p.solve_with(
-            db,
-            pinned,
-            &required,
-            &SolveOptions::early_exit(),
-            &mut |b| {
-                sol = Some(b.to_vec());
-                true
-            },
-        );
-        let b = sol?;
+    /// The morphism plus one witnessing path per edge (§8's
+    /// path-extraction extension).
+    fn assemble(&self, db: &GraphDb, b: &[Option<NodeId>], gov: &Governor) -> Option<QueryWitness> {
         let node = |v: NodeVar| b[v.index()].expect("required variables are bound");
         let mut paths = Vec::with_capacity(self.q.pattern.edge_count());
         for (src, re, dst) in self.q.pattern.edges() {
             let nfa = Nfa::from_regex(re);
-            paths.push(crate::witness::edge_path(db, &nfa, node(*src), node(*dst))?);
+            paths.push(edge_path_governed(db, &nfa, node(*src), node(*dst), gov)?);
         }
         Some(QueryWitness {
-            morphism: crate::witness::morphism_of(&self.q.pattern, &b),
+            morphism: morphism_of(&self.q.pattern, b),
             paths,
             images: Vec::new(),
         })
+    }
+}
+
+impl Evaluate for CrpqEvaluator<'_> {
+    fn run(&self, db: &GraphDb, req: Request<'_>, opts: &SolveOptions) -> Outcome {
+        run_solver(self, db, req, opts)
     }
 }
 
@@ -308,6 +143,7 @@ impl<'q> CrpqEvaluator<'q> {
 mod tests {
     use super::*;
     use cxrpq_graph::GraphBuilder;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     /// The genealogy example of Figure 1: p = parent, s = supervisor.
@@ -398,18 +234,8 @@ mod tests {
         let (db, _) = family_db();
         let mut alpha = db.alphabet().clone();
         let q = Crpq::build(&[("x", "p+", "y")], &[], &mut alpha).unwrap();
-        let (found, states) = CrpqEvaluator::new(&q).boolean_with_stats(&db);
-        assert!(found);
-        assert!(states > 0);
-    }
-
-    #[test]
-    fn check_with_repeated_output_vars() {
-        let (db, n) = family_db();
-        let mut alpha = db.alphabet().clone();
-        let q = Crpq::build(&[("x", "p", "y")], &["x", "x"], &mut alpha).unwrap();
-        let ev = CrpqEvaluator::new(&q);
-        assert!(ev.check(&db, &[n[0], n[0]]));
-        assert!(!ev.check(&db, &[n[0], n[1]]));
+        let out = CrpqEvaluator::new(&q).run(&db, Request::Boolean, &SolveOptions::early_exit());
+        assert!(out.value.into_bool());
+        assert!(out.states > 0);
     }
 }

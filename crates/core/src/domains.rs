@@ -21,7 +21,7 @@
 //! fixpoint (capped by the caller — early-exiting `boolean`/`check` calls
 //! cap low), visiting edges cheapest-first per the plan so the sharpest
 //! filters narrow the domains other edges then fill over. Fills are
-//! *domain-restricted*: [`ReachCache::fill_targets`] stripes cover only
+//! *domain-restricted*: [`ReachCache::fill_targets`](crate::reach::ReachCache::fill_targets) stripes cover only
 //! the current domain, never all of `db.nodes()`, so every later round
 //! costs traffic proportional to what pruning has already achieved.
 //! Under streaming appends the caches invalidate per label
@@ -33,7 +33,7 @@
 //! (staggered membership arrivals re-expand cells; see `BENCH_parallel.json`).
 //! [`probe_long_diameter`] runs one cheap plain-graph BFS and routes the
 //! fills: past [`LONG_DIAMETER_LEVELS`] levels the graph is chain-like and
-//! every fill falls back to per-source [`ReachScratch`] sweeps.
+//! every fill falls back to per-source [`ReachScratch`](crate::reach::ReachScratch) sweeps.
 //!
 //! Groups do not run their synchronized product search per candidate (it
 //! would cost more than it saves), but they still prune through *necessary

@@ -9,16 +9,16 @@
 //! `ECRPQ^er` — only equality relations — is the fragment CXRPQ subsumes
 //! (Lemma 12).
 
-use crate::governor::Outcome;
+use crate::evaluate::{Evaluate, Outcome, Request};
+use crate::governor::Governor;
 use crate::pattern::{GraphPattern, NodeVar};
 use crate::reach::ReachCache;
 use crate::relation::RegularRelation;
-use crate::solve::{FreeEdge, Group, PipelineStats, Problem, SolveOptions};
+use crate::solve::{run_solver, FreeEdge, Group, Problem, SolveOptions, SolverBacked};
 use crate::sync::SyncSpec;
-use crate::witness::QueryWitness;
+use crate::witness::{edge_path_governed, group_paths, morphism_of, QueryWitness};
 use cxrpq_automata::{Nfa, Regex};
 use cxrpq_graph::{GraphDb, NodeId};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Errors from assembling an ECRPQ.
@@ -133,7 +133,9 @@ impl<'q> EcrpqEvaluator<'q> {
     pub fn new(q: &'q Ecrpq) -> Self {
         Self { q }
     }
+}
 
+impl SolverBacked for EcrpqEvaluator<'_> {
     fn problem(&self) -> Problem {
         let mut p = Problem::new(self.q.pattern.node_count());
         let mut in_relation = vec![false; self.q.pattern.edge_count()];
@@ -168,167 +170,13 @@ impl<'q> EcrpqEvaluator<'q> {
         p
     }
 
-    /// Boolean evaluation `D ⊨ q`.
-    pub fn boolean(&self, db: &GraphDb) -> bool {
-        self.boolean_opts(db, &SolveOptions::early_exit().projected())
-            .0
+    fn output(&self) -> &[NodeVar] {
+        &self.q.output
     }
 
-    /// [`EcrpqEvaluator::boolean`] under explicit solver options, with the
-    /// pipeline stats of the run.
-    pub fn boolean_opts(&self, db: &GraphDb, opts: &SolveOptions) -> (bool, Option<PipelineStats>) {
-        let mut p = self.problem();
-        let mut found = false;
-        p.solve_with(db, &HashMap::new(), &[], opts, &mut |_| {
-            found = true;
-            true
-        });
-        (found, p.pipeline.take())
-    }
-
-    /// The answer relation `q(D)`, computed with projection pushdown:
-    /// pattern variables outside the output tuple are existentially
-    /// eliminated instead of enumerated.
-    pub fn answers(&self, db: &GraphDb) -> BTreeSet<Vec<NodeId>> {
-        self.answers_opts(db, &SolveOptions::pipeline().projected())
-            .0
-    }
-
-    /// [`EcrpqEvaluator::answers`] under explicit solver options, with the
-    /// pipeline stats of the run. The default pipeline's prune phase
-    /// batch-warms the relation-free edge caches over the shrinking
-    /// candidate domains (subsuming the old whole-database prefill), and
-    /// every selective relation walker contributes its own reachability
-    /// semi-join as a necessary condition. Pass [`SolveOptions::projected`]
-    /// for projection pushdown (the naive reference without it is
-    /// full-enumerate-then-project).
-    pub fn answers_opts(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
-        let mut out = BTreeSet::new();
-        let mut p = self.problem();
-        let output = self.q.output.clone();
-        p.solve_with(db, &HashMap::new(), &output, opts, &mut |bindings| {
-            out.insert(
-                output
-                    .iter()
-                    .map(|v| bindings[v.index()].expect("required var bound"))
-                    .collect(),
-            );
-            false
-        });
-        (out, p.pipeline.take())
-    }
-
-    /// The Check problem `t̄ ∈ q(D)`.
-    pub fn check(&self, db: &GraphDb, tuple: &[NodeId]) -> bool {
-        self.check_opts(db, tuple, &SolveOptions::early_exit().projected())
-            .0
-    }
-
-    /// [`EcrpqEvaluator::check`] under explicit solver options, with the
-    /// pipeline stats of the run.
-    pub fn check_opts(
-        &self,
-        db: &GraphDb,
-        tuple: &[NodeId],
-        opts: &SolveOptions,
-    ) -> (bool, Option<PipelineStats>) {
-        assert_eq!(tuple.len(), self.q.output.len());
-        let mut pinned = HashMap::new();
-        for (v, n) in self.q.output.iter().zip(tuple) {
-            if let Some(&prev) = pinned.get(v) {
-                if prev != *n {
-                    return (false, None);
-                }
-            }
-            pinned.insert(*v, *n);
-        }
-        let mut p = self.problem();
-        let mut found = false;
-        p.solve_with(db, &pinned, &[], opts, &mut |_| {
-            found = true;
-            true
-        });
-        (found, p.pipeline.take())
-    }
-
-    /// [`EcrpqEvaluator::boolean_opts`] with the run's [`Verdict`]: an
-    /// aborted run may report `false` where a complete run would say `true`
-    /// (sound under-approximation) and tags the result
-    /// [`crate::governor::Verdict::Aborted`].
-    pub fn boolean_outcome(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (Outcome<bool>, Option<PipelineStats>) {
-        let (found, stats) = self.boolean_opts(db, opts);
-        (
-            Outcome::from_governor(found, opts.governor.as_deref()),
-            stats,
-        )
-    }
-
-    /// [`EcrpqEvaluator::answers_opts`] with the run's [`Verdict`]: an
-    /// aborted run returns the partial answers accumulated before the trip
-    /// (always a subset of the complete relation).
-    pub fn answers_outcome(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (Outcome<BTreeSet<Vec<NodeId>>>, Option<PipelineStats>) {
-        let (ans, stats) = self.answers_opts(db, opts);
-        (Outcome::from_governor(ans, opts.governor.as_deref()), stats)
-    }
-
-    /// [`EcrpqEvaluator::check_opts`] with the run's [`Verdict`].
-    pub fn check_outcome(
-        &self,
-        db: &GraphDb,
-        tuple: &[NodeId],
-        opts: &SolveOptions,
-    ) -> (Outcome<bool>, Option<PipelineStats>) {
-        let (found, stats) = self.check_opts(db, tuple, opts);
-        (
-            Outcome::from_governor(found, opts.governor.as_deref()),
-            stats,
-        )
-    }
-
-    /// A certificate for some matching morphism: one path per edge, with
-    /// relation-constrained edges witnessed jointly so their labels satisfy
-    /// the relation.
-    pub fn witness(&self, db: &GraphDb) -> Option<QueryWitness> {
-        self.witness_impl(db, &HashMap::new())
-    }
-
-    /// A certificate for `t̄ ∈ q(D)`.
-    pub fn witness_for(&self, db: &GraphDb, tuple: &[NodeId]) -> Option<QueryWitness> {
-        let pinned = crate::witness::pin_tuple(self.q.output(), tuple)?;
-        self.witness_impl(db, &pinned)
-    }
-
-    fn witness_impl(
-        &self,
-        db: &GraphDb,
-        pinned: &HashMap<NodeVar, NodeId>,
-    ) -> Option<QueryWitness> {
-        let mut p = self.problem();
-        let required: Vec<NodeVar> = self.q.pattern.node_vars().collect();
-        let mut sol: Option<Vec<Option<NodeId>>> = None;
-        p.solve_with(
-            db,
-            pinned,
-            &required,
-            &SolveOptions::early_exit(),
-            &mut |b| {
-                sol = Some(b.to_vec());
-                true
-            },
-        );
-        let b = sol?;
+    /// One path per edge, with relation-constrained edges witnessed
+    /// jointly so their labels satisfy the relation.
+    fn assemble(&self, db: &GraphDb, b: &[Option<NodeId>], gov: &Governor) -> Option<QueryWitness> {
         let node = |v: NodeVar| b[v.index()].expect("required variables are bound");
         let m = self.q.pattern.edge_count();
         let mut paths: Vec<Option<cxrpq_graph::Path>> = vec![None; m];
@@ -348,7 +196,7 @@ impl<'q> EcrpqEvaluator<'q> {
                 .iter()
                 .map(|&e| node(self.q.pattern.edges()[e].2))
                 .collect();
-            let group = crate::witness::group_paths(db, &spec, &starts, &ends)?;
+            let group = group_paths(db, &spec, &starts, &ends, gov)?;
             for (&e, path) in edges.iter().zip(group) {
                 paths[e] = Some(path);
             }
@@ -356,14 +204,20 @@ impl<'q> EcrpqEvaluator<'q> {
         for (i, (src, re, dst)) in self.q.pattern.edges().iter().enumerate() {
             if paths[i].is_none() {
                 let nfa = Nfa::from_regex(re);
-                paths[i] = Some(crate::witness::edge_path(db, &nfa, node(*src), node(*dst))?);
+                paths[i] = Some(edge_path_governed(db, &nfa, node(*src), node(*dst), gov)?);
             }
         }
         Some(QueryWitness {
-            morphism: crate::witness::morphism_of(&self.q.pattern, &b),
+            morphism: morphism_of(&self.q.pattern, b),
             paths: paths.into_iter().map(Option::unwrap).collect(),
             images: Vec::new(),
         })
+    }
+}
+
+impl Evaluate for EcrpqEvaluator<'_> {
+    fn run(&self, db: &GraphDb, req: Request<'_>, opts: &SolveOptions) -> Outcome {
+        run_solver(self, db, req, opts)
     }
 }
 

@@ -14,9 +14,10 @@
 
 use crate::bounded::BoundedEvaluator;
 use crate::cxrpq::Cxrpq;
+use crate::evaluate::{Answer, Evaluate, Request};
 use crate::governor::{Governor, Verdict};
 use crate::simple_eval::SimpleEvaluator;
-use crate::solve::{PipelineStats, SolveOptions};
+use crate::solve::PipelineStats;
 use crate::vsf_eval::VsfEvaluator;
 use crate::witness::QueryWitness;
 use cxrpq_graph::{GraphDb, NodeId};
@@ -62,7 +63,7 @@ pub struct EvalOptions {
     /// partial result.
     pub governor: Option<Arc<Governor>>,
     /// A cached [`crate::SolvePlan`] to seed the solver's phase 1 with
-    /// (see [`SolveOptions::plan_seed`]); threaded into every solver call
+    /// (see [`crate::SolveOptions::plan_seed`]); threaded into every solver call
     /// this planner dispatches. Plans only order the search, so an
     /// incompatible seed is ignored, never wrong.
     pub plan_seed: Option<Arc<crate::plan::SolvePlan>>,
@@ -115,6 +116,18 @@ impl<T> Evaluated<T> {
     pub fn total_elapsed(&self) -> Duration {
         self.plan_elapsed + self.elapsed
     }
+
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> Evaluated<U> {
+        Evaluated {
+            value: f(self.value),
+            engine: self.engine,
+            exact: self.exact,
+            elapsed: self.elapsed,
+            plan_elapsed: self.plan_elapsed,
+            pipeline: self.pipeline,
+            verdict: self.verdict,
+        }
+    }
 }
 
 /// Planning failed.
@@ -137,11 +150,24 @@ impl fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// The constructed engine behind an [`AutoEvaluator`] (built exactly once,
-/// at plan time).
-enum EngineImpl<'q> {
+/// at plan time). An enum, not a `Box<dyn Evaluate + 'q>`: dropping a
+/// trait object may touch the query it borrows, which would forbid the
+/// planner as a temporary in a tail expression
+/// (`AutoEvaluator::new(&q).answers(db).value`).
+enum Engine<'q> {
     Simple(SimpleEvaluator<'q>),
     Vsf(VsfEvaluator<'q>),
     Bounded(BoundedEvaluator<'q>),
+}
+
+impl<'q> Engine<'q> {
+    fn as_dyn(&self) -> &(dyn Evaluate + 'q) {
+        match self {
+            Engine::Simple(ev) => ev,
+            Engine::Vsf(ev) => ev,
+            Engine::Bounded(ev) => ev,
+        }
+    }
 }
 
 /// The fragment-dispatching evaluator.
@@ -158,7 +184,7 @@ pub struct AutoEvaluator<'q> {
     /// Number of output variables (0 = a Boolean query).
     arity: usize,
     exact: bool,
-    engine: EngineImpl<'q>,
+    engine: Engine<'q>,
     plan_elapsed: Duration,
     gov: Option<Arc<Governor>>,
     plan_seed: Option<Arc<crate::plan::SolvePlan>>,
@@ -195,15 +221,9 @@ impl<'q> AutoEvaluator<'q> {
             },
         };
         let engine = match choice {
-            EngineKind::Simple => EngineImpl::Simple(SimpleEvaluator::new(q).expect("planned")),
-            EngineKind::Vsf => EngineImpl::Vsf(VsfEvaluator::new(q).expect("planned")),
-            EngineKind::Bounded => {
-                let mut ev = BoundedEvaluator::new(q, opts.bounded_k);
-                if let Some(g) = &opts.governor {
-                    ev = ev.governed(g.clone());
-                }
-                EngineImpl::Bounded(ev)
-            }
+            EngineKind::Simple => Engine::Simple(SimpleEvaluator::new(q).expect("planned")),
+            EngineKind::Vsf => Engine::Vsf(VsfEvaluator::new(q).expect("planned")),
+            EngineKind::Bounded => Engine::Bounded(BoundedEvaluator::new(q, opts.bounded_k)),
         };
         // Bounded evaluation is exact only under the `≤k` reading; the other
         // engines decide the unrestricted semantics of their fragments.
@@ -235,95 +255,65 @@ impl<'q> AutoEvaluator<'q> {
         self.plan_elapsed
     }
 
-    fn timed<T>(&self, f: impl FnOnce() -> (T, Option<PipelineStats>)) -> Evaluated<T> {
+    /// Runs `req` on the planned engine under the request's default solver
+    /// options plus this planner's governor and plan seed, timed.
+    ///
+    /// A zero-arity query's relation is `{()}` or `∅`, so its `Answers`
+    /// request is decided by the early-exiting Boolean run (same verdict
+    /// and pipeline stats) instead of a full fixpoint and enumeration.
+    fn eval(&self, db: &GraphDb, req: Request<'_>) -> Evaluated<Answer> {
+        let zero_arity_answers = self.arity == 0 && req == Request::Answers;
+        let run_req = if zero_arity_answers {
+            Request::Boolean
+        } else {
+            req
+        };
+        let mut opts = run_req.default_options();
+        opts.governor = self.gov.clone();
+        opts.plan_seed = self.plan_seed.clone();
         let t0 = Instant::now();
-        let (value, pipeline) = f();
+        let out = self.engine.as_dyn().run(db, run_req, &opts);
+        let elapsed = t0.elapsed();
+        let value = if zero_arity_answers {
+            let mut rel = BTreeSet::new();
+            if out.value.into_bool() {
+                rel.insert(Vec::new());
+            }
+            Answer::Tuples(rel)
+        } else {
+            out.value
+        };
         Evaluated {
             value,
             engine: self.choice,
             exact: self.exact,
-            elapsed: t0.elapsed(),
+            elapsed,
             plan_elapsed: self.plan_elapsed,
-            pipeline,
-            verdict: self
-                .gov
-                .as_deref()
-                .map_or(Verdict::Complete, Governor::verdict),
-        }
-    }
-
-    /// Attaches this planner's governor and plan seed (if any) to solver
-    /// options.
-    fn solve_opts(&self, base: SolveOptions) -> SolveOptions {
-        let base = match &self.gov {
-            Some(g) => base.governed(g.clone()),
-            None => base,
-        };
-        match &self.plan_seed {
-            Some(seed) => base.with_plan_seed(seed.clone()),
-            None => base,
+            pipeline: out.pipeline,
+            verdict: out.verdict,
         }
     }
 
     /// Boolean evaluation with provenance.
     pub fn boolean(&self, db: &GraphDb) -> Evaluated<bool> {
-        let opts = self.solve_opts(SolveOptions::early_exit().projected());
-        self.timed(|| match &self.engine {
-            EngineImpl::Simple(ev) => ev.boolean_opts(db, &opts),
-            EngineImpl::Vsf(ev) => (ev.boolean_opts(db, &opts), None),
-            EngineImpl::Bounded(ev) => (ev.boolean(db), None),
-        })
+        self.eval(db, Request::Boolean).map(Answer::into_bool)
     }
 
     /// The answer relation with provenance (projection pushdown: non-output
     /// variables are existentially eliminated by the solver).
-    ///
-    /// A zero-arity query's relation is `{()}` or `∅`, decided by the
-    /// early-exiting [`AutoEvaluator::boolean`] run (same verdict and
-    /// pipeline stats) instead of a full fixpoint and enumeration.
     pub fn answers(&self, db: &GraphDb) -> Evaluated<BTreeSet<Vec<NodeId>>> {
-        if self.arity == 0 {
-            let b = self.boolean(db);
-            let value = if b.value {
-                BTreeSet::from([Vec::new()])
-            } else {
-                BTreeSet::new()
-            };
-            return Evaluated {
-                value,
-                engine: b.engine,
-                exact: b.exact,
-                elapsed: b.elapsed,
-                plan_elapsed: b.plan_elapsed,
-                pipeline: b.pipeline,
-                verdict: b.verdict,
-            };
-        }
-        let opts = self.solve_opts(SolveOptions::pipeline().projected());
-        self.timed(|| match &self.engine {
-            EngineImpl::Simple(ev) => ev.answers_opts(db, &opts),
-            EngineImpl::Vsf(ev) => (ev.answers_opts(db, &opts), None),
-            EngineImpl::Bounded(ev) => (ev.answers(db), None),
-        })
+        self.eval(db, Request::Answers).map(Answer::into_tuples)
     }
 
     /// The Check problem with provenance.
     pub fn check(&self, db: &GraphDb, tuple: &[NodeId]) -> Evaluated<bool> {
-        let opts = self.solve_opts(SolveOptions::early_exit().projected());
-        self.timed(|| match &self.engine {
-            EngineImpl::Simple(ev) => ev.check_opts(db, tuple, &opts),
-            EngineImpl::Vsf(ev) => (ev.check_opts(db, tuple, &opts), None),
-            EngineImpl::Bounded(ev) => (ev.check(db, tuple), None),
-        })
+        self.eval(db, Request::Check(tuple)).map(Answer::into_bool)
     }
 
     /// A witness with provenance.
     pub fn witness(&self, db: &GraphDb) -> Evaluated<Option<QueryWitness>> {
-        self.timed(|| match &self.engine {
-            EngineImpl::Simple(ev) => (ev.witness(db), None),
-            EngineImpl::Vsf(ev) => (ev.witness(db), None),
-            EngineImpl::Bounded(ev) => (ev.witness(db), None),
-        })
+        self.eval(db, Request::Witness(None))
+            .map(Answer::into_witness)
     }
 }
 
@@ -489,6 +479,36 @@ mod tests {
         )
         .unwrap();
         assert!(forced.answers(&db).pipeline.is_none());
+    }
+
+    #[test]
+    fn governed_witnesses_report_aborts_through_the_planner() {
+        let (db, _, _) = db_word("abcab");
+        let mut alpha = db.alphabet().clone();
+        let q = CxrpqBuilder::new(&mut alpha)
+            .edge("x", "z{(a|b)+}cz", "y")
+            .output(&["x", "y"])
+            .build()
+            .unwrap();
+        for force in [EngineKind::Simple, EngineKind::Vsf, EngineKind::Bounded] {
+            let planned = |governor| {
+                AutoEvaluator::with_options(
+                    &q,
+                    EvalOptions {
+                        force: Some(force),
+                        governor: Some(Arc::new(governor)),
+                        ..EvalOptions::default()
+                    },
+                )
+                .unwrap()
+            };
+            let starved = planned(Governor::unlimited().with_max_steps(0)).witness(&db);
+            assert!(!starved.verdict.is_complete(), "{force:?}");
+            assert!(starved.value.is_none(), "{force:?}");
+            let fed = planned(Governor::unlimited()).witness(&db);
+            assert!(fed.verdict.is_complete(), "{force:?}");
+            fed.value.unwrap().verify(&db, q.pattern()).unwrap();
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Unrestricted CXRPQ evaluation by iterative image-bound deepening.
 //!
 //! The paper proves PSpace-hardness in data complexity (Theorem 1) and
-//! leaves the upper bound open (§8). This engine is the pragmatic
-//! substitute documented in DESIGN.md: evaluate `D ⊨_{≤k} q` for growing
+//! leaves the upper bound open (§8). This engine is a pragmatic
+//! substitute: evaluate `D ⊨_{≤k} q` for growing
 //! `k`; a hit at any `k` is a hit for the unrestricted semantics (since
 //! `L^{≤k}(ᾱ) ⊆ L(ᾱ)`), and a caller-supplied cap bounds the search. For
 //! instances with a known witness-size bound (e.g. the Theorem 1 reduction,
@@ -11,6 +11,7 @@
 
 use crate::bounded::{BoundedEvaluator, BoundedStats};
 use crate::cxrpq::Cxrpq;
+use crate::evaluate::{Evaluate, Request};
 use cxrpq_graph::GraphDb;
 
 /// Outcome of iterative deepening.
@@ -64,12 +65,13 @@ impl<'q> GenericEvaluator<'q> {
     /// Runs the deepening loop, accumulating enumeration counters.
     pub fn evaluate_with_stats(&self, db: &GraphDb) -> (GenericOutcome, BoundedStats) {
         let mut total = BoundedStats::default();
+        let opts = Request::Boolean.default_options();
         for k in 0..=self.cap {
-            let (hit, stats) = BoundedEvaluator::new(self.q, k).boolean_with_stats(db);
+            let (out, stats) =
+                BoundedEvaluator::new(self.q, k).run_with_stats(db, Request::Boolean, &opts);
             total.mappings += stats.mappings;
             total.crpqs_evaluated += stats.crpqs_evaluated;
-            total.product_states += stats.product_states;
-            if hit {
+            if out.value.into_bool() {
                 return (GenericOutcome::Match { k }, total);
             }
         }

@@ -123,35 +123,6 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// A value together with the verdict of the evaluation that produced it.
-///
-/// When `verdict` is [`Verdict::Aborted`], `value` holds the *partial*
-/// result accumulated before the trip — always a sound under-approximation
-/// of the complete result (graceful degradation, never a hang).
-#[derive(Clone, Debug)]
-pub struct Outcome<T> {
-    /// The (possibly partial) result.
-    pub value: T,
-    /// Whether the evaluation completed or was aborted.
-    pub verdict: Verdict,
-}
-
-impl<T> Outcome<T> {
-    /// Wraps `value` with the verdict currently recorded on `gov`
-    /// (`None` / a disabled governor yield [`Verdict::Complete`]).
-    pub fn from_governor(value: T, gov: Option<&Governor>) -> Self {
-        Self {
-            value,
-            verdict: gov.map_or(Verdict::Complete, Governor::verdict),
-        }
-    }
-
-    /// Whether the value is a truncated (partial) result.
-    pub fn truncated(&self) -> bool {
-        !self.verdict.is_complete()
-    }
-}
-
 /// Encoding of the sticky trip state: 0 = running, otherwise
 /// `AbortReason as u8 + 1`.
 const NOT_TRIPPED: u8 = 0;
@@ -509,17 +480,5 @@ mod tests {
         }
         assert_eq!(g.checkpoints_seen(), 17);
         assert_eq!(g.steps_taken(), 51);
-    }
-
-    #[test]
-    fn outcome_wraps_verdicts() {
-        let ok = Outcome::from_governor(42, None);
-        assert!(!ok.truncated());
-        let g = Governor::unlimited().with_max_steps(0);
-        let _ = g.checkpoint();
-        let partial = Outcome::from_governor(7, Some(&g));
-        assert!(partial.truncated());
-        assert_eq!(partial.verdict, Verdict::Aborted(AbortReason::Fuel));
-        assert_eq!(format!("{}", partial.verdict), "aborted (fuel)");
     }
 }

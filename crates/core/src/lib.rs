@@ -19,8 +19,13 @@
 //!   enumeration of variable mappings, Lemma 10/11 specialization to CRPQs;
 //! - [`LogEvaluator`]: Corollary 1 — `CXRPQ^{log}` (k = ⌈log₂|D|⌉);
 //! - [`GenericEvaluator`]: unrestricted CXRPQs by iterative image-bound
-//!   deepening (the paper leaves the upper bound open; see DESIGN.md);
+//!   deepening (the paper leaves the upper bound open; see [`generic`]);
 //! - [`EcrpqEvaluator`]: the on-the-fly synchronized product for ECRPQ.
+//!
+//! Every engine but the generic one implements [`Evaluate`]: one
+//! [`Evaluate::run`] answers each [`Request`] (Boolean, answers, Check,
+//! witness) with an [`Outcome`]. [`AutoEvaluator`] picks the engine by
+//! fragment.
 //!
 //! Translations (§7): [`translate::ecrpq_er_to_cxrpq`] (Lemma 12),
 //! [`translate::cxrpq_vsf_to_union_ecrpq_er`] (Lemma 13),
@@ -35,6 +40,7 @@ pub mod diagnostics;
 pub mod domains;
 pub mod ecrpq;
 pub mod engine;
+pub mod evaluate;
 pub mod frontier;
 pub mod generic;
 pub mod governor;
@@ -65,9 +71,10 @@ pub use diagnostics::{AtomRef, Diagnostic, Diagnostics, Lint, Severity};
 pub use domains::Domains;
 pub use ecrpq::{Ecrpq, EcrpqEvaluator};
 pub use engine::{AutoEvaluator, EngineKind, EvalOptions, Evaluated};
+pub use evaluate::{Answer, Evaluate, Outcome, Request};
 pub use frontier::FrontierConfig;
 pub use generic::{GenericEvaluator, GenericOutcome};
-pub use governor::{AbortReason, Governor, Outcome, Verdict};
+pub use governor::{AbortReason, Governor, Verdict};
 pub use log_eval::LogEvaluator;
 pub use path_semantics::{rpq_holds, rpq_pairs, rpq_witness, PathSemantics};
 pub use pattern::{GraphPattern, NodeVar};

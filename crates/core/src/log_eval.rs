@@ -3,10 +3,11 @@
 //! Same machinery as Theorem 6, with `k = ⌈log₂ |D|⌉` chosen per database:
 //! NP combined complexity, `O(log² |D|)` space in data complexity.
 
-use crate::bounded::{BoundedEvaluator, BoundedStats};
+use crate::bounded::BoundedEvaluator;
 use crate::cxrpq::Cxrpq;
-use cxrpq_graph::{GraphDb, NodeId};
-use std::collections::BTreeSet;
+use crate::evaluate::{Evaluate, Outcome, Request};
+use crate::solve::SolveOptions;
+use cxrpq_graph::GraphDb;
 
 /// The `CXRPQ^{log}` engine.
 pub struct LogEvaluator<'q> {
@@ -24,30 +25,12 @@ impl<'q> LogEvaluator<'q> {
         let n = db.size().max(2);
         (usize::BITS - (n - 1).leading_zeros()) as usize
     }
+}
 
-    /// Boolean evaluation `D ⊨_{log} q`.
-    pub fn boolean(&self, db: &GraphDb) -> bool {
-        BoundedEvaluator::new(self.q, Self::bound_for(db)).boolean(db)
-    }
-
-    /// Boolean evaluation with enumeration counters.
-    pub fn boolean_with_stats(&self, db: &GraphDb) -> (bool, BoundedStats) {
-        BoundedEvaluator::new(self.q, Self::bound_for(db)).boolean_with_stats(db)
-    }
-
-    /// The answer relation `q^{log}(D)`.
-    pub fn answers(&self, db: &GraphDb) -> BTreeSet<Vec<NodeId>> {
-        BoundedEvaluator::new(self.q, Self::bound_for(db)).answers(db)
-    }
-
-    /// The Check problem.
-    pub fn check(&self, db: &GraphDb, tuple: &[NodeId]) -> bool {
-        BoundedEvaluator::new(self.q, Self::bound_for(db)).check(db, tuple)
-    }
-
-    /// A certificate for some matching morphism under the `log` semantics.
-    pub fn witness(&self, db: &GraphDb) -> Option<crate::witness::QueryWitness> {
-        BoundedEvaluator::new(self.q, Self::bound_for(db)).witness(db)
+/// Every request runs the bounded engine with `k = ⌈log₂ |D|⌉`.
+impl Evaluate for LogEvaluator<'_> {
+    fn run(&self, db: &GraphDb, req: Request<'_>, opts: &SolveOptions) -> Outcome {
+        BoundedEvaluator::new(self.q, Self::bound_for(db)).run(db, req, opts)
     }
 }
 
@@ -125,11 +108,11 @@ mod tests {
         let k = LogEvaluator::bound_for(&db);
         let log = LogEvaluator::new(&q);
         let explicit = BoundedEvaluator::new(&q, k);
-        assert_eq!(log.boolean(&db), explicit.boolean(&db));
         assert_eq!(log.answers(&db), explicit.answers(&db));
-        let (b1, s1) = log.boolean_with_stats(&db);
-        let (b2, s2) = explicit.boolean_with_stats(&db);
-        assert_eq!((b1, s1), (b2, s2));
+        let opts = Request::Boolean.default_options();
+        let b1 = log.run(&db, Request::Boolean, &opts);
+        let b2 = explicit.run(&db, Request::Boolean, &opts);
+        assert_eq!((b1.value, b1.states), (b2.value, b2.states));
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn rpq_witness_governed(
 ///
 /// Arbitrary semantics is routed by the same cheap BFS-diameter probe the
 /// solver's prune phase uses ([`probe_long_diameter`]): short-diameter
-/// graphs run one batched multi-source wavefront ([`reach_all`]) over all
+/// graphs run one batched multi-source wavefront ([`reach_all`](crate::reach::reach_all)) over all
 /// nodes — `⌈|V|/64⌉` passes over `D × M` instead of one BFS per source —
 /// while long-diameter (chain-shaped) graphs fall back to per-source
 /// scratch sweeps, where staggered membership arrivals would make the

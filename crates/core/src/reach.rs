@@ -48,6 +48,7 @@ use crate::frontier::{expand_sharded_governed, FrontierConfig};
 use crate::governor::Governor;
 use cxrpq_automata::{Label, MaskSim, Nfa, StateId};
 use cxrpq_graph::{DenseBitSet, GraphDb, NodeId, Symbol};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -739,16 +740,14 @@ impl<'a> PairSide<'a> {
 
 /// Bidirectional product search for one pinned pair: whether some path
 /// `u →* v` spells a word of the automaton behind `fwd`. The backward side
-/// runs over the tables of `rev` ([`reverse_nfa`], whose states `0..|Q|`
-/// are the original ones), built into `bwd` the first time it is needed.
-/// Returns `false` on a governor trip (the caller must not memoize that
-/// verdict).
-#[allow(clippy::too_many_arguments)]
-fn pair_search(
+/// runs over the tables `bwd` returns (those of [`reverse_nfa`], whose
+/// states `0..|Q|` are the original ones), asked for only when the search
+/// gets past its first forward levels. Returns `false` on a governor trip
+/// (the caller must not memoize that verdict).
+fn pair_search<'t>(
     db: &GraphDb,
     fwd: &MaskSim,
-    rev: &Nfa,
-    bwd: &mut Option<MaskSim>,
+    bwd: impl FnOnce() -> &'t MaskSim,
     u: NodeId,
     v: NodeId,
     stats: &ReachStats,
@@ -780,7 +779,7 @@ fn pair_search(
     if f.queue.is_empty() {
         return false; // the forward closure is complete without a meet
     }
-    let bwd = bwd.get_or_insert_with(|| MaskSim::new(rev));
+    let bwd = bwd();
     let mut b = PairSide::new(bwd, false);
     b.add(v, bwd.start_mask(), None, gov); // no meet: the loop above saw it
     loop {
@@ -819,7 +818,10 @@ fn pair_search(
 /// wholesale, as before.
 pub struct ReachCache {
     nfa: Nfa,
-    rev: Nfa,
+    /// The reversed automaton, built the first time a backward fill or a
+    /// pinned-pair search reaches its backward side: most short-lived
+    /// caches never get there.
+    rev: OnceCell<Nfa>,
     /// Sorted distinct `Sym` labels of `nfa` (the automaton's footprint).
     syms: Vec<Symbol>,
     /// Whether `nfa` has an `Any` transition (footprint = whole alphabet).
@@ -850,7 +852,6 @@ pub struct ReachCache {
 impl ReachCache {
     /// Builds the cache for an edge automaton.
     pub fn new(nfa: Nfa) -> Self {
-        let rev = reverse_nfa(&nfa);
         let mut syms = Vec::new();
         let mut uses_any = false;
         for s in 0..nfa.state_count() {
@@ -866,7 +867,7 @@ impl ReachCache {
         syms.dedup();
         Self {
             nfa,
-            rev,
+            rev: OnceCell::new(),
             syms,
             uses_any,
             generation: None,
@@ -1053,7 +1054,7 @@ impl ReachCache {
             _ => {
                 let sets = reach_all_governed(
                     db,
-                    &self.rev,
+                    self.rev.get_or_init(|| reverse_nfa(&self.nfa)),
                     &missing,
                     Direction::Backward,
                     Some(&self.stats),
@@ -1129,7 +1130,7 @@ impl ReachCache {
         }
         let r = std::rc::Rc::new(reach_set_governed(
             db,
-            &self.rev,
+            self.rev.get_or_init(|| reverse_nfa(&self.nfa)),
             v,
             Direction::Backward,
             Some(&self.stats),
@@ -1169,16 +1170,12 @@ impl ReachCache {
             let nfa = &self.nfa;
             let fwd = self.pair_fwd.get_or_insert_with(|| MaskSim::new(nfa));
             let gov = self.gov.as_deref().unwrap_or(Governor::disabled());
-            pair_search(
-                db,
-                fwd,
-                &self.rev,
-                &mut self.pair_bwd,
-                u,
-                v,
-                &self.stats,
-                gov,
-            )
+            let (rev, pair_bwd) = (&self.rev, &mut self.pair_bwd);
+            let bwd = move || {
+                let slot = pair_bwd;
+                &*slot.get_or_insert_with(|| MaskSim::new(rev.get_or_init(|| reverse_nfa(nfa))))
+            };
+            pair_search(db, fwd, bwd, u, v, &self.stats, gov)
         };
         if !self.governor().is_aborted() {
             self.governor().charge_mem(16);

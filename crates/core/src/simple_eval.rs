@@ -12,16 +12,17 @@
 //! explicit `G_{q′,D}` of the proof.
 
 use crate::cxrpq::Cxrpq;
-use crate::governor::Outcome;
+use crate::evaluate::{Evaluate, Outcome, Request};
+use crate::governor::Governor;
 use crate::pattern::NodeVar;
 use crate::reach::ReachCache;
-use crate::solve::{FreeEdge, Group, PipelineStats, Problem, SolveOptions};
+use crate::solve::{run_solver, FreeEdge, Group, Problem, SolveOptions, SolverBacked};
 use crate::sync::SyncSpec;
-use crate::witness::QueryWitness;
+use crate::witness::{concat_paths, edge_path_governed, group_paths, morphism_of, QueryWitness};
 use cxrpq_automata::{Nfa, Regex};
 use cxrpq_graph::{GraphDb, NodeId, Path};
 use cxrpq_xregex::{classification, Var, Xregex};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The query is outside the simple fragment.
@@ -309,7 +310,9 @@ impl<'q> SimpleEvaluator<'q> {
     pub fn group_count(&self) -> usize {
         self.plan.groups.len()
     }
+}
 
+impl SolverBacked for SimpleEvaluator<'_> {
     fn problem(&self) -> Problem {
         let mut p = Problem::new(self.plan.node_count);
         for f in &self.plan.free {
@@ -333,189 +336,20 @@ impl<'q> SimpleEvaluator<'q> {
         p
     }
 
-    /// Boolean evaluation `D ⊨ q`.
-    pub fn boolean(&self, db: &GraphDb) -> bool {
-        self.boolean_with_stats(db).0
+    fn output(&self) -> &[NodeVar] {
+        self.q.output()
     }
 
-    /// Boolean evaluation plus explored product states.
-    pub fn boolean_with_stats(&self, db: &GraphDb) -> (bool, usize) {
-        let mut p = self.problem();
-        let mut found = false;
-        let opts = SolveOptions::early_exit().projected();
-        p.solve_with(db, &HashMap::new(), &[], &opts, &mut |_| {
-            found = true;
-            true
-        });
-        let mut states = p.stats.states();
-        for e in &p.free_edges {
-            states += e.cache.stats.states();
-        }
-        (found, states)
-    }
-
-    /// [`SimpleEvaluator::boolean`] under explicit solver options, with the
-    /// pipeline stats of the run.
-    pub fn boolean_opts(&self, db: &GraphDb, opts: &SolveOptions) -> (bool, Option<PipelineStats>) {
-        let mut p = self.problem();
-        let mut found = false;
-        p.solve_with(db, &HashMap::new(), &[], opts, &mut |_| {
-            found = true;
-            true
-        });
-        (found, p.pipeline.take())
-    }
-
-    /// The answer relation `q(D)`, computed with projection pushdown: the
-    /// subdivision's fresh middle variables (and any non-output pattern
-    /// variables) are existentially eliminated instead of enumerated.
-    pub fn answers(&self, db: &GraphDb) -> BTreeSet<Vec<NodeId>> {
-        self.answers_opts(db, &SolveOptions::pipeline().projected())
-            .0
-    }
-
-    /// [`SimpleEvaluator::answers`] under explicit solver options, with the
-    /// pipeline stats of the run. The default pipeline's prune phase
-    /// batch-warms the classical-factor caches over the shrinking candidate
-    /// domains (subsuming the old whole-database prefill); equality groups
-    /// with a selective definition contribute def-language semi-joins. Pass
-    /// [`SolveOptions::projected`] for projection pushdown (the naive
-    /// reference without it is full-enumerate-then-project).
-    pub fn answers_opts(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
-        let mut out = BTreeSet::new();
-        let mut p = self.problem();
-        let output = self.q.output().to_vec();
-        p.solve_with(db, &HashMap::new(), &output, opts, &mut |bindings| {
-            out.insert(
-                output
-                    .iter()
-                    .map(|v| bindings[v.index()].expect("required var bound"))
-                    .collect(),
-            );
-            false
-        });
-        (out, p.pipeline.take())
-    }
-
-    /// The Check problem `t̄ ∈ q(D)`.
-    pub fn check(&self, db: &GraphDb, tuple: &[NodeId]) -> bool {
-        self.check_opts(db, tuple, &SolveOptions::early_exit().projected())
-            .0
-    }
-
-    /// [`SimpleEvaluator::check`] under explicit solver options, with the
-    /// pipeline stats of the run.
-    pub fn check_opts(
-        &self,
-        db: &GraphDb,
-        tuple: &[NodeId],
-        opts: &SolveOptions,
-    ) -> (bool, Option<PipelineStats>) {
-        assert_eq!(tuple.len(), self.q.output().len());
-        let mut pinned = HashMap::new();
-        for (v, n) in self.q.output().iter().zip(tuple) {
-            if let Some(&prev) = pinned.get(v) {
-                if prev != *n {
-                    return (false, None);
-                }
-            }
-            pinned.insert(*v, *n);
-        }
-        let mut p = self.problem();
-        let mut found = false;
-        p.solve_with(db, &pinned, &[], opts, &mut |_| {
-            found = true;
-            true
-        });
-        (found, p.pipeline.take())
-    }
-
-    /// [`SimpleEvaluator::boolean_opts`] with the run's [`Verdict`]: an
-    /// aborted run may report `false` where a complete run would say `true`
-    /// (sound under-approximation) and tags the result
-    /// [`crate::governor::Verdict::Aborted`].
-    pub fn boolean_outcome(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (Outcome<bool>, Option<PipelineStats>) {
-        let (found, stats) = self.boolean_opts(db, opts);
-        (
-            Outcome::from_governor(found, opts.governor.as_deref()),
-            stats,
-        )
-    }
-
-    /// [`SimpleEvaluator::answers_opts`] with the run's [`Verdict`]: an
-    /// aborted run returns the partial answers accumulated before the trip
-    /// (always a subset of the complete relation).
-    pub fn answers_outcome(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (Outcome<BTreeSet<Vec<NodeId>>>, Option<PipelineStats>) {
-        let (ans, stats) = self.answers_opts(db, opts);
-        (Outcome::from_governor(ans, opts.governor.as_deref()), stats)
-    }
-
-    /// [`SimpleEvaluator::check_opts`] with the run's [`Verdict`].
-    pub fn check_outcome(
-        &self,
-        db: &GraphDb,
-        tuple: &[NodeId],
-        opts: &SolveOptions,
-    ) -> (Outcome<bool>, Option<PipelineStats>) {
-        let (found, stats) = self.check_opts(db, tuple, opts);
-        (
-            Outcome::from_governor(found, opts.governor.as_deref()),
-            stats,
-        )
-    }
-
-    /// A certificate for some matching morphism: paths per pattern edge
-    /// (reassembled from the subdivided factors) plus all variable images.
-    pub fn witness(&self, db: &GraphDb) -> Option<QueryWitness> {
-        self.witness_impl(db, &HashMap::new())
-    }
-
-    /// A certificate for `t̄ ∈ q(D)`.
-    pub fn witness_for(&self, db: &GraphDb, tuple: &[NodeId]) -> Option<QueryWitness> {
-        let pinned = crate::witness::pin_tuple(self.q.output(), tuple)?;
-        self.witness_impl(db, &pinned)
-    }
-
-    fn witness_impl(
-        &self,
-        db: &GraphDb,
-        pinned: &HashMap<NodeVar, NodeId>,
-    ) -> Option<QueryWitness> {
-        let mut p = self.problem();
-        // Require every plan variable (original + middles) so each factor's
-        // endpoints are pinned down in the solution.
-        let required: Vec<NodeVar> = (0..self.plan.node_count as u32).map(NodeVar).collect();
-        let mut sol: Option<Vec<Option<NodeId>>> = None;
-        p.solve_with(
-            db,
-            pinned,
-            &required,
-            &SolveOptions::early_exit(),
-            &mut |b| {
-                sol = Some(b.to_vec());
-                true
-            },
-        );
-        let b = sol?;
+    /// Paths per pattern edge, reassembled from the subdivided factors,
+    /// plus all variable images.
+    fn assemble(&self, db: &GraphDb, b: &[Option<NodeId>], gov: &Governor) -> Option<QueryWitness> {
         let node = |v: NodeVar| b[v.index()].expect("required variables are bound");
         let vars = self.q.conjunctive().vars();
         let mut factor_paths: BTreeMap<(usize, usize), Path> = BTreeMap::new();
         let mut image_map: BTreeMap<Var, Vec<cxrpq_graph::Symbol>> = BTreeMap::new();
         for f in &self.plan.free {
             let nfa = Nfa::from_regex(&f.re);
-            let path = crate::witness::edge_path(db, &nfa, node(f.src), node(f.dst))?;
+            let path = edge_path_governed(db, &nfa, node(f.src), node(f.dst), gov)?;
             if let Some(x) = f.image_var {
                 image_map.insert(x, path.label().to_vec());
             }
@@ -526,7 +360,7 @@ impl<'q> SimpleEvaluator<'q> {
                 SyncSpec::equality_group(g.def.as_ref().map(Nfa::from_regex), g.members.len());
             let starts: Vec<NodeId> = g.members.iter().map(|m| node(m.src)).collect();
             let ends: Vec<NodeId> = g.members.iter().map(|m| node(m.dst)).collect();
-            let paths = crate::witness::group_paths(db, &spec, &starts, &ends)?;
+            let paths = group_paths(db, &spec, &starts, &ends, gov)?;
             image_map.insert(g.var, paths[0].label().to_vec());
             for (m, path) in g.members.iter().zip(paths) {
                 factor_paths.insert(m.prov, path);
@@ -552,7 +386,7 @@ impl<'q> SimpleEvaluator<'q> {
             if segs.is_empty() {
                 edge_paths.push(Path::trivial(node(*src)));
             } else {
-                edge_paths.push(crate::witness::concat_paths(segs));
+                edge_paths.push(concat_paths(segs));
             }
         }
         let images = image_map
@@ -560,10 +394,16 @@ impl<'q> SimpleEvaluator<'q> {
             .map(|(x, w)| (vars.name(x).to_string(), w))
             .collect();
         Some(QueryWitness {
-            morphism: crate::witness::morphism_of(self.q.pattern(), &b),
+            morphism: morphism_of(self.q.pattern(), b),
             paths: edge_paths,
             images,
         })
+    }
+}
+
+impl Evaluate for SimpleEvaluator<'_> {
+    fn run(&self, db: &GraphDb, req: Request<'_>, opts: &SolveOptions) -> Outcome {
+        run_solver(self, db, req, opts)
     }
 }
 
@@ -573,6 +413,7 @@ mod tests {
     use crate::cxrpq::CxrpqBuilder;
     use cxrpq_graph::Alphabet;
     use cxrpq_graph::GraphBuilder;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn db_with_words(words: &[(&str, &str)]) -> (GraphDb, HashMap<String, NodeId>) {

@@ -75,13 +75,15 @@
 //! (they are restored by the witness sub-search on its way out).
 
 use crate::domains::Domains;
+use crate::evaluate::{Answer, Outcome, Request};
 use crate::governor::Governor;
 use crate::pattern::NodeVar;
 use crate::plan::{single_step_symbols, SolvePlan};
 use crate::reach::{ReachCache, ReachStats};
 use crate::sync::{sync_sources_governed, sync_targets_governed, SyncSearch, SyncSpec};
+use crate::witness::{pin_tuple, QueryWitness};
 use cxrpq_graph::{DenseBitSet, EdgeRun, GraphDb, NodeId, Symbol};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -306,13 +308,6 @@ impl SolveOptions {
     /// `SolveOptions::pipeline().with_strategy(Strategy::Backtrack)`.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Seeds phase 1 with a cached plan (see [`SolveOptions::plan_seed`]);
-    /// composes with any preset.
-    pub fn with_plan_seed(mut self, seed: Arc<SolvePlan>) -> Self {
-        self.plan_seed = Some(seed);
         self
     }
 }
@@ -1447,6 +1442,11 @@ impl Problem {
                     };
                     (self.groups[i].srcs.clone(), tuples)
                 };
+                // Extend in sorted order, not the hash set's: the first
+                // solution (a witness) and the work spent reaching it must
+                // not vary from run to run.
+                let mut tuples: Vec<Vec<NodeId>> = tuples.into_iter().collect();
+                tuples.sort_unstable();
                 'tuple: for tup in tuples {
                     if ctx.gov.is_aborted() {
                         break;
@@ -1727,6 +1727,89 @@ impl Problem {
         }
         hit
     }
+}
+
+/// What a solver-backed engine (CRPQ, simple CXRPQ, ECRPQ) supplies to
+/// [`run_solver`]: its constraint problem, its output tuple and the way a
+/// solution becomes a witness.
+pub(crate) trait SolverBacked {
+    /// A fresh constraint problem for one run (its reachability caches
+    /// start empty).
+    fn problem(&self) -> Problem;
+
+    /// The output tuple `z̄`, over the problem's node variables.
+    fn output(&self) -> &[NodeVar];
+
+    /// Turns a solution binding every problem variable into a witness:
+    /// one path per pattern edge plus variable images. `None` when a path
+    /// search fails, which happens only when `gov` trips.
+    fn assemble(
+        &self,
+        db: &GraphDb,
+        bindings: &[Option<NodeId>],
+        gov: &Governor,
+    ) -> Option<QueryWitness>;
+}
+
+/// Answers `req` for a solver-backed engine with one
+/// [`Problem::solve_with`] run: Boolean and Check stop at the first
+/// solution (Check pins the output variables to the tuple), the answer
+/// relation collects every projected tuple, and a witness binds every
+/// variable of the first solution and asks the engine to assemble it.
+pub(crate) fn run_solver(
+    engine: &impl SolverBacked,
+    db: &GraphDb,
+    req: Request<'_>,
+    opts: &SolveOptions,
+) -> Outcome {
+    let pinned = match req {
+        Request::Check(tuple) | Request::Witness(Some(tuple)) => {
+            match pin_tuple(engine.output(), tuple) {
+                Some(pinned) => pinned,
+                // Repeated output variables pinned to different nodes.
+                None => return Outcome::new(Answer::none(req), opts),
+            }
+        }
+        _ => HashMap::new(),
+    };
+    let mut p = engine.problem();
+    let required: Vec<NodeVar> = match req {
+        Request::Answers => engine.output().to_vec(),
+        Request::Witness(_) => (0..p.node_count as u32).map(NodeVar).collect(),
+        _ => Vec::new(),
+    };
+    let mut tuples = BTreeSet::new();
+    let mut first: Option<Vec<Option<NodeId>>> = None;
+    p.solve_with(db, &pinned, &required, opts, &mut |b| {
+        if req == Request::Answers {
+            tuples.insert(
+                required
+                    .iter()
+                    .map(|v| b[v.index()].expect("required var bound"))
+                    .collect(),
+            );
+            return false;
+        }
+        first = Some(b.to_vec());
+        true
+    });
+    let (value, pipeline) = match req {
+        Request::Boolean | Request::Check(_) => (Answer::Bool(first.is_some()), p.pipeline.take()),
+        Request::Answers => (Answer::Tuples(tuples), p.pipeline.take()),
+        Request::Witness(_) => {
+            let gov = opts.governor.as_deref().unwrap_or(Governor::disabled());
+            let w = first.and_then(|b| engine.assemble(db, &b, gov));
+            (Answer::Witness(w), None)
+        }
+    };
+    let mut out = Outcome::new(value, opts);
+    out.pipeline = pipeline;
+    out.states = p.stats.states()
+        + p.free_edges
+            .iter()
+            .map(|e| e.cache.stats.states())
+            .sum::<usize>();
+    out
 }
 
 #[cfg(test)]

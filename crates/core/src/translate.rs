@@ -14,6 +14,7 @@ use crate::bounded::BoundedEvaluator;
 use crate::crpq::Crpq;
 use crate::cxrpq::Cxrpq;
 use crate::ecrpq::{Ecrpq, EcrpqError};
+use crate::evaluate::Evaluate;
 use crate::pattern::GraphPattern;
 use crate::relation::RegularRelation;
 use crate::simple_eval::{deref_basic_chains, factorize, Factor};

@@ -7,6 +7,7 @@
 
 use crate::crpq::{Crpq, CrpqEvaluator};
 use crate::ecrpq::{Ecrpq, EcrpqEvaluator};
+use crate::evaluate::Evaluate;
 use crate::witness::QueryWitness;
 use cxrpq_graph::{GraphDb, NodeId};
 use std::collections::BTreeSet;

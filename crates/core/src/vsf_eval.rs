@@ -9,18 +9,12 @@
 //! intermediate queries.
 
 use crate::cxrpq::Cxrpq;
+use crate::evaluate::{verdict_of, Answer, Evaluate, Outcome, Request};
 use crate::governor::Governor;
 use crate::simple_eval::SimpleEvaluator;
 use crate::solve::SolveOptions;
-use crate::witness::QueryWitness;
-use cxrpq_graph::{GraphDb, NodeId};
+use cxrpq_graph::GraphDb;
 use cxrpq_xregex::normal_form::{simple_choices, NormalFormError};
-use std::collections::BTreeSet;
-
-/// The governor attached to `opts`, or the shared disabled one.
-fn gov_of(opts: &SolveOptions) -> &Governor {
-    opts.governor.as_deref().unwrap_or(Governor::disabled())
-}
 
 /// The `CXRPQ^{vsf}` engine.
 pub struct VsfEvaluator<'q> {
@@ -41,94 +35,27 @@ impl<'q> VsfEvaluator<'q> {
             .expect("validated at construction")
             .combination_count()
     }
+}
 
-    /// Boolean evaluation `D ⊨ q`, with early exit on the first matching
-    /// branch combination.
-    pub fn boolean(&self, db: &GraphDb) -> bool {
-        self.boolean_opts(db, &SolveOptions::early_exit().projected())
-    }
-
-    /// [`VsfEvaluator::boolean`] under explicit solver options. A governor
-    /// abort stops the branch-combination sweep (sound: `false` may stand
-    /// for an unexplored `true`).
-    pub fn boolean_opts(&self, db: &GraphDb, opts: &SolveOptions) -> bool {
+/// The query matches iff some simple branch combination does: every
+/// request runs the Lemma 3 engine per combination and unites the answers,
+/// stopping at the first match or witness, or when the governor trips (a
+/// sound partial result). Witness images refer to the *normalized* query's
+/// variables (Step 2/3 renaming).
+impl Evaluate for VsfEvaluator<'_> {
+    fn run(&self, db: &GraphDb, req: Request<'_>, opts: &SolveOptions) -> Outcome {
+        let gov = opts.governor.as_deref().unwrap_or(Governor::disabled());
+        let mut out = Outcome::new(Answer::none(req), opts);
         for choice in simple_choices(self.q.conjunctive()).expect("validated") {
-            if gov_of(opts).is_aborted() {
+            if gov.is_aborted() || out.value.is_settled() {
                 break;
             }
             let q2 = self.q.with_conjunctive(choice);
             let ev = SimpleEvaluator::new(&q2).expect("choices are simple");
-            if ev.boolean_opts(db, opts).0 {
-                return true;
-            }
+            out.absorb(ev.run(db, req, opts));
         }
-        false
-    }
-
-    /// The answer relation `q(D)` — the union over branch combinations.
-    pub fn answers(&self, db: &GraphDb) -> BTreeSet<Vec<NodeId>> {
-        self.answers_opts(db, &SolveOptions::pipeline().projected())
-    }
-
-    /// [`VsfEvaluator::answers`] under explicit solver options. A governor
-    /// abort truncates the union at a sound partial subset.
-    pub fn answers_opts(&self, db: &GraphDb, opts: &SolveOptions) -> BTreeSet<Vec<NodeId>> {
-        let mut out = BTreeSet::new();
-        for choice in simple_choices(self.q.conjunctive()).expect("validated") {
-            if gov_of(opts).is_aborted() {
-                break;
-            }
-            let q2 = self.q.with_conjunctive(choice);
-            let ev = SimpleEvaluator::new(&q2).expect("choices are simple");
-            out.extend(ev.answers_opts(db, opts).0);
-        }
+        out.verdict = verdict_of(opts);
         out
-    }
-
-    /// The Check problem `t̄ ∈ q(D)`.
-    pub fn check(&self, db: &GraphDb, tuple: &[NodeId]) -> bool {
-        self.check_opts(db, tuple, &SolveOptions::early_exit().projected())
-    }
-
-    /// [`VsfEvaluator::check`] under explicit solver options.
-    pub fn check_opts(&self, db: &GraphDb, tuple: &[NodeId], opts: &SolveOptions) -> bool {
-        for choice in simple_choices(self.q.conjunctive()).expect("validated") {
-            if gov_of(opts).is_aborted() {
-                break;
-            }
-            let q2 = self.q.with_conjunctive(choice);
-            let ev = SimpleEvaluator::new(&q2).expect("choices are simple");
-            if ev.check_opts(db, tuple, opts).0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// A certificate for some matching morphism: the first simple branch
-    /// combination with a match supplies the paths. Variable images refer to
-    /// the *normalized* query's variables (Step 2/3 renaming).
-    pub fn witness(&self, db: &GraphDb) -> Option<QueryWitness> {
-        for choice in simple_choices(self.q.conjunctive()).expect("validated") {
-            let q2 = self.q.with_conjunctive(choice);
-            let ev = SimpleEvaluator::new(&q2).expect("choices are simple");
-            if let Some(w) = ev.witness(db) {
-                return Some(w);
-            }
-        }
-        None
-    }
-
-    /// A certificate for `t̄ ∈ q(D)`.
-    pub fn witness_for(&self, db: &GraphDb, tuple: &[NodeId]) -> Option<QueryWitness> {
-        for choice in simple_choices(self.q.conjunctive()).expect("validated") {
-            let q2 = self.q.with_conjunctive(choice);
-            let ev = SimpleEvaluator::new(&q2).expect("choices are simple");
-            if let Some(w) = ev.witness_for(db, tuple) {
-                return Some(w);
-            }
-        }
-        None
     }
 }
 
@@ -137,7 +64,7 @@ mod tests {
     use super::*;
     use crate::cxrpq::CxrpqBuilder;
     use cxrpq_graph::GraphBuilder;
-    use cxrpq_graph::{Alphabet, GraphDb};
+    use cxrpq_graph::{Alphabet, GraphDb, NodeId};
     use std::sync::Arc;
 
     fn db_words(words: &[&str]) -> (GraphDb, Vec<(NodeId, NodeId)>) {

@@ -17,10 +17,10 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A complete certificate for one matching morphism.
 ///
-/// Produced by the engines' `witness`/`witness_for` methods; checkable
+/// Produced by [`crate::Evaluate`]'s witness requests; checkable
 /// independently of the engine that produced it via [`QueryWitness::verify`]
 /// (structure) and the conjunctive-match oracle (semantics).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QueryWitness {
     /// The matching morphism `h`, restricted to the query's named pattern
     /// variables (in pattern-variable order).
@@ -197,20 +197,10 @@ pub fn edge_path_governed(
 /// Finds one tuple of jointly-constrained paths: walker `i` runs
 /// `starts[i] →* ends[i]`, accepted by `spec.nfas[i]`, with the tuple of
 /// labels in `spec.relation`. Parent-tracked variant of the synchronized
-/// product search.
-pub(crate) fn group_paths(
-    db: &GraphDb,
-    spec: &SyncSpec,
-    starts: &[NodeId],
-    ends: &[NodeId],
-) -> Option<Vec<Path>> {
-    group_paths_governed(db, spec, starts, ends, Governor::disabled())
-}
-
-/// [`group_paths`] under a [`Governor`]: one checkpoint per popped product
+/// product search, with one [`Governor`] checkpoint per popped product
 /// configuration; an abort returns `None` (sound failure, never a spurious
 /// tuple of paths).
-pub(crate) fn group_paths_governed(
+pub(crate) fn group_paths(
     db: &GraphDb,
     spec: &SyncSpec,
     starts: &[NodeId],
@@ -290,7 +280,9 @@ pub(crate) fn concat_paths(segments: Vec<Path>) -> Path {
     out
 }
 
-/// Pins output variables to a tuple (shared by the engines' `witness_for`).
+/// Pins output variables to a tuple (the Check and pinned witness requests
+/// of the solver-backed engines); `None` when repeated output variables get
+/// different nodes.
 pub(crate) fn pin_tuple(output: &[NodeVar], tuple: &[NodeId]) -> Option<HashMap<NodeVar, NodeId>> {
     assert_eq!(tuple.len(), output.len(), "tuple arity mismatch");
     let mut pinned = HashMap::new();
@@ -391,12 +383,12 @@ mod tests {
         db.add_word_path(s3, &w2, t3);
         let db = db.freeze();
         let spec = SyncSpec::equality_group(None, 2);
-        let paths = group_paths(&db, &spec, &[s1, s2], &[t1, t2]).unwrap();
+        let paths = group_paths(&db, &spec, &[s1, s2], &[t1, t2], Governor::disabled()).unwrap();
         assert_eq!(paths[0].label(), paths[1].label());
         assert_eq!(db.alphabet().render_word(paths[0].label()), "abc");
         assert!(paths.iter().all(|p| p.is_valid_in(&db)));
         // Mismatched paths: no witness.
-        assert!(group_paths(&db, &spec, &[s1, s3], &[t1, t3]).is_none());
+        assert!(group_paths(&db, &spec, &[s1, s3], &[t1, t3], Governor::disabled()).is_none());
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn fig1_g4(alphabet: &mut Alphabet) -> Crpq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxrpq_core::CrpqEvaluator;
+    use cxrpq_core::{CrpqEvaluator, Evaluate};
 
     #[test]
     fn generator_shapes() {

@@ -109,7 +109,7 @@ pub fn fig2_g1(alphabet: &mut Alphabet) -> Cxrpq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxrpq_core::BoundedEvaluator;
+    use cxrpq_core::{BoundedEvaluator, Evaluate};
 
     #[test]
     fn planted_channels_are_found() {

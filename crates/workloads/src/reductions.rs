@@ -305,7 +305,7 @@ pub fn reachability_reduction(
 mod tests {
     use super::*;
     use cxrpq_core::{
-        BoundedEvaluator, CrpqEvaluator, GenericEvaluator, GenericOutcome, VsfEvaluator,
+        BoundedEvaluator, CrpqEvaluator, Evaluate, GenericEvaluator, GenericOutcome, VsfEvaluator,
     };
 
     #[test]

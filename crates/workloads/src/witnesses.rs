@@ -129,7 +129,9 @@ pub fn pumping_path(p: usize, q: usize, r: usize, s: usize) -> (GraphDb, NodeId,
 mod tests {
     use super::*;
     use crate::graphs::{d_anam, d_anbm};
-    use cxrpq_core::{BoundedEvaluator, EcrpqEvaluator, GenericEvaluator, GenericOutcome};
+    use cxrpq_core::{
+        BoundedEvaluator, EcrpqEvaluator, Evaluate, GenericEvaluator, GenericOutcome,
+    };
 
     #[test]
     fn q_anbn_separates_lengths() {

@@ -16,7 +16,7 @@
 //! - **Step C** — replace all surviving definitions and references by the
 //!   image words.
 //!
-//! **Clarification (documented in DESIGN.md):** variables with *no*
+//! **Clarification** (the paper leaves this case implicit): variables with *no*
 //! definition anywhere in `ᾱ` are the `x{Σ*}` dummy-definition variables of
 //! the §3.1 semantics; any image is admissible for them, so Step B's
 //! `∅`-rule applies only to variables that had definitions in the original

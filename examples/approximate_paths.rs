@@ -12,7 +12,7 @@
 //! Run with: `cargo run --example approximate_paths`
 
 use cxrpq::automata::parse_regex;
-use cxrpq::core::{Ecrpq, EcrpqEvaluator, GraphPattern, RegularRelation};
+use cxrpq::core::{Ecrpq, EcrpqEvaluator, Evaluate, GraphPattern, RegularRelation};
 use cxrpq::graph::{Alphabet, GraphBuilder};
 use std::sync::Arc;
 

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example covert_channels`
 
-use cxrpq::core::BoundedEvaluator;
+use cxrpq::core::{BoundedEvaluator, Evaluate};
 use cxrpq::workloads::messages;
 
 fn main() {

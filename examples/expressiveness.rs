@@ -5,7 +5,8 @@
 //! Run with: `cargo run --example expressiveness`
 
 use cxrpq::core::{
-    translate, BoundedEvaluator, EcrpqEvaluator, GenericEvaluator, GenericOutcome, VsfEvaluator,
+    translate, BoundedEvaluator, EcrpqEvaluator, Evaluate, GenericEvaluator, GenericOutcome,
+    VsfEvaluator,
 };
 use cxrpq::graph::Alphabet;
 use cxrpq::workloads::{graphs, witnesses};

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example genealogy`
 
-use cxrpq::core::CrpqEvaluator;
+use cxrpq::core::{CrpqEvaluator, Evaluate, Request};
 use cxrpq::workloads::genealogy;
 
 fn main() {
@@ -36,7 +36,8 @@ fn main() {
     ];
     for (desc, q) in &queries {
         let ev = CrpqEvaluator::new(q);
-        let (found, states) = ev.boolean_with_stats(&g.db);
+        let decided = ev.run(&g.db, Request::Boolean, &Request::Boolean.default_options());
+        let (found, states) = (decided.value.into_bool(), decided.states);
         let answers = ev.answers(&g.db);
         println!();
         println!("{desc}");

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example reductions_gallery`
 
-use cxrpq::core::{BoundedEvaluator, GenericEvaluator, GenericOutcome};
+use cxrpq::core::{BoundedEvaluator, Evaluate, GenericEvaluator, GenericOutcome};
 use cxrpq::graph::dot::to_dot;
 use cxrpq::workloads::reductions;
 

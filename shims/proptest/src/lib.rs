@@ -4,7 +4,7 @@
 //! this path crate instead of the real `proptest`. It implements the surface
 //! the property-test suites consume:
 //!
-//! - the [`Strategy`] trait with `prop_map`, `prop_recursive`, `boxed`
+//! - the [`Strategy`](strategy::Strategy) trait with `prop_map`, `prop_recursive`, `boxed`
 //! - integer-range strategies (`0u32..2`), [`strategy::Just`],
 //!   [`collection::vec`] with `usize` size ranges
 //! - the [`proptest!`], [`prop_oneof!`], [`prop_assert!`],

@@ -100,9 +100,9 @@ pub mod prelude {
     pub use cxrpq_automata::{nfa_equivalent, parse_regex, Dfa, Nfa, Regex};
     pub use cxrpq_core::{
         parse_query, render_query, AutoEvaluator, BoundedEvaluator, Crpq, CrpqEvaluator, Cxrpq,
-        CxrpqBuilder, Ecrpq, EcrpqEvaluator, EngineKind, EvalOptions, GenericEvaluator,
-        LogEvaluator, PathSemantics, QueryWitness, RegularRelation, SimpleEvaluator, UnionCrpq,
-        UnionEcrpq, VsfEvaluator,
+        CxrpqBuilder, Ecrpq, EcrpqEvaluator, EngineKind, EvalOptions, Evaluate, GenericEvaluator,
+        LogEvaluator, PathSemantics, QueryWitness, RegularRelation, Request, SimpleEvaluator,
+        UnionCrpq, UnionEcrpq, VsfEvaluator,
     };
     pub use cxrpq_graph::{
         read_graph, write_graph, Alphabet, DenseBitSet, GraphBuilder, GraphDb, NodeId, Path, Symbol,

@@ -4,7 +4,7 @@
 
 use cxrpq::core::engine::{AutoEvaluator, EngineKind, EvalOptions};
 use cxrpq::core::query_text::{parse_query, render_query};
-use cxrpq::core::{BoundedEvaluator, SimpleEvaluator, VsfEvaluator};
+use cxrpq::core::{BoundedEvaluator, Evaluate, Request, SimpleEvaluator, VsfEvaluator};
 use cxrpq::graph::{read_graph, write_graph};
 use cxrpq::xregex::matcher::MatchConfig;
 
@@ -114,8 +114,10 @@ fn parallel_bounded_in_pipeline() {
     let q = parse_query("ans(x, y) <- (x) -[ z{(a|b)+}cz ]-> (y)", &mut alphabet).unwrap();
     let ev = BoundedEvaluator::new(&q, 2);
     let serial = ev.answers(&db);
+    let opts = Request::Answers.default_options();
     for threads in [2, 4] {
-        assert_eq!(ev.answers_parallel(&db, threads), serial);
+        let parallel = ev.run_parallel(&db, Request::Answers, &opts, threads);
+        assert_eq!(parallel.value.into_tuples(), serial);
     }
     assert!(serial.contains(&vec![names["u"], names["v"]]));
 }

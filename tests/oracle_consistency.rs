@@ -1,7 +1,7 @@
 //! Property-based consistency tests between the executable semantics
 //! (backtracking oracles, samplers) and the evaluation engines.
 
-use cxrpq::core::{BoundedEvaluator, CxrpqBuilder, SimpleEvaluator, VsfEvaluator};
+use cxrpq::core::{BoundedEvaluator, CxrpqBuilder, Evaluate, SimpleEvaluator, VsfEvaluator};
 use cxrpq::graph::{Alphabet, GraphBuilder, NodeId, Symbol};
 use cxrpq::workloads::rand_queries::{random_vstar_free, QueryShape};
 use cxrpq::xregex::matcher::MatchConfig;

@@ -24,8 +24,8 @@
 //! indistinguishable from ungoverned ones.
 
 use cxrpq::core::{
-    AbortReason, Crpq, CrpqEvaluator, Cxrpq, Ecrpq, EcrpqEvaluator, Governor, GraphPattern,
-    RegularRelation, SimpleEvaluator, SolveOptions, Verdict,
+    AbortReason, Crpq, CrpqEvaluator, Cxrpq, Ecrpq, EcrpqEvaluator, Evaluate, Governor,
+    GraphPattern, RegularRelation, Request, SimpleEvaluator, SolveOptions, Verdict,
 };
 use cxrpq::graph::{Alphabet, GraphDb, NodeId};
 use cxrpq::workloads::graphs::random_labeled;
@@ -159,7 +159,7 @@ proptest! {
         let out1 = pattern.node_var("n1").unwrap();
         let q = Crpq::new(pattern, vec![out0, out1]);
         let ev = CrpqEvaluator::new(&q);
-        assert_abort_safety(&|o| ev.answers_opts(&db, o).0, &mut rng)?;
+        assert_abort_safety(&|o| ev.run(&db, Request::Answers, o).value.into_tuples(), &mut rng)?;
     }
 
     #[test]
@@ -173,7 +173,7 @@ proptest! {
         let q = Cxrpq::from_parts(pattern, cx, vec![out0, out1]);
         let db = random_db(seed, 0xc04b_1d22);
         let ev = SimpleEvaluator::new(&q).expect("generated queries are simple");
-        assert_abort_safety(&|o| ev.answers_opts(&db, o).0, &mut rng)?;
+        assert_abort_safety(&|o| ev.run(&db, Request::Answers, o).value.into_tuples(), &mut rng)?;
     }
 
     #[test]
@@ -192,7 +192,7 @@ proptest! {
         let q = Ecrpq::new(pattern, vec![(rel, vec![0, 1])], vec![out0, out1])
             .expect("well-formed relation tuple");
         let ev = EcrpqEvaluator::new(&q);
-        assert_abort_safety(&|o| ev.answers_opts(&db, o).0, &mut rng)?;
+        assert_abort_safety(&|o| ev.run(&db, Request::Answers, o).value.into_tuples(), &mut rng)?;
     }
 
     /// Boolean early-exit under injected aborts: `false` may stand for an
@@ -207,15 +207,15 @@ proptest! {
         let out0 = pattern.node_var("n0").unwrap();
         let q = Crpq::new(pattern, vec![out0]);
         let ev = CrpqEvaluator::new(&q);
-        let complete = ev.boolean_opts(&db, &SolveOptions::early_exit()).0;
+        let complete = ev.run(&db, Request::Boolean, &SolveOptions::early_exit()).value.into_bool();
         let dry = Arc::new(Governor::unlimited());
-        let _ = ev.boolean_opts(&db, &SolveOptions::early_exit().governed(dry.clone()));
+        let _ = ev.run(&db, Request::Boolean, &SolveOptions::early_exit().governed(dry.clone()));
         let seen = dry.checkpoints_seen().max(1);
         for _ in 0..INJECTIONS {
             let k = rng.random_range(1..=seen);
             let gov = Arc::new(Governor::unlimited().with_injection(k));
             let opts = SolveOptions::early_exit().governed(gov.clone());
-            let (found, _) = ev.boolean_opts(&db, &opts);
+            let found = ev.run(&db, Request::Boolean, &opts).value.into_bool();
             if found {
                 prop_assert!(complete, "aborted boolean() invented a match");
             }
@@ -245,19 +245,22 @@ fn exhaustive_abort_sweep_on_fixed_instance() {
     .unwrap();
     let ev = CrpqEvaluator::new(&q);
     let opts = SolveOptions::pipeline();
-    let (complete, _) = ev.answers_opts(&db, &opts);
+    let complete = ev.run(&db, Request::Answers, &opts).value.into_tuples();
 
     let dry = Arc::new(Governor::unlimited());
-    let _ = ev.answers_opts(&db, &opts.clone().governed(dry.clone()));
+    let _ = ev.run(&db, Request::Answers, &opts.clone().governed(dry.clone()));
     let seen = dry.checkpoints_seen();
     assert!(seen > 0, "vacuous sweep: no checkpoints passed");
 
     for k in 1..=seen {
         let gov = Arc::new(Governor::unlimited().with_injection(k));
-        let (partial, _) = ev.answers_opts(&db, &opts.clone().governed(gov.clone()));
+        let partial = ev
+            .run(&db, Request::Answers, &opts.clone().governed(gov.clone()))
+            .value
+            .into_tuples();
         assert_eq!(gov.abort_reason(), Some(AbortReason::Injected), "k={k}");
         assert!(partial.is_subset(&complete), "k={k}: partial ⊄ complete");
-        let (repeat, _) = ev.answers_opts(&db, &opts);
+        let repeat = ev.run(&db, Request::Answers, &opts).value.into_tuples();
         assert_eq!(repeat, complete, "k={k}: post-abort re-solve diverged");
     }
 }

@@ -15,8 +15,8 @@
 
 use cxrpq::automata::parse_regex;
 use cxrpq::core::{
-    Crpq, CrpqEvaluator, Cxrpq, Ecrpq, EcrpqEvaluator, GraphPattern, PipelineStats,
-    RegularRelation, SimpleEvaluator, SolveOptions,
+    Crpq, CrpqEvaluator, Cxrpq, Ecrpq, EcrpqEvaluator, Evaluate, GraphPattern, PipelineStats,
+    RegularRelation, Request, SimpleEvaluator, SolveOptions,
 };
 use cxrpq::graph::{Alphabet, GraphDb, NodeId};
 use cxrpq::workloads::graphs::random_labeled;
@@ -24,82 +24,27 @@ use cxrpq::workloads::rand_queries::{random_classical, random_simple, QueryShape
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Debug builds pay ~10× on the product searches; keep CI-debug runs fast
 /// and let release runs explore more of the space.
 const CASES: u32 = if cfg!(debug_assertions) { 10 } else { 48 };
 
-/// One evaluator façade: `answers`/`boolean`/`check` under explicit solver
-/// options, so the three query families share the comparison harness.
-trait Differential {
-    fn answers(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>);
-    fn boolean(&self, db: &GraphDb, opts: &SolveOptions) -> bool;
-    fn check(&self, db: &GraphDb, tuple: &[NodeId], opts: &SolveOptions) -> bool;
-}
-
-impl Differential for CrpqEvaluator<'_> {
-    fn answers(
-        &self,
-        db: &GraphDb,
-        o: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
-        self.answers_opts(db, o)
-    }
-    fn boolean(&self, db: &GraphDb, o: &SolveOptions) -> bool {
-        self.boolean_opts(db, o).0
-    }
-    fn check(&self, db: &GraphDb, t: &[NodeId], o: &SolveOptions) -> bool {
-        self.check_opts(db, t, o).0
-    }
-}
-
-impl Differential for SimpleEvaluator<'_> {
-    fn answers(
-        &self,
-        db: &GraphDb,
-        o: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
-        self.answers_opts(db, o)
-    }
-    fn boolean(&self, db: &GraphDb, o: &SolveOptions) -> bool {
-        self.boolean_opts(db, o).0
-    }
-    fn check(&self, db: &GraphDb, t: &[NodeId], o: &SolveOptions) -> bool {
-        self.check_opts(db, t, o).0
-    }
-}
-
-impl Differential for EcrpqEvaluator<'_> {
-    fn answers(
-        &self,
-        db: &GraphDb,
-        o: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
-        self.answers_opts(db, o)
-    }
-    fn boolean(&self, db: &GraphDb, o: &SolveOptions) -> bool {
-        self.boolean_opts(db, o).0
-    }
-    fn check(&self, db: &GraphDb, t: &[NodeId], o: &SolveOptions) -> bool {
-        self.check_opts(db, t, o).0
-    }
-}
-
 /// Asserts analyzed ≡ unanalyzed on one (query, database) pair across the
 /// pipeline and naive paths, projected and full, and returns the analyzed
 /// pipeline stats for shape-specific assertions.
 fn assert_analyzer_agreement(
-    ev: &dyn Differential,
+    ev: &dyn Evaluate,
     db: &GraphDb,
     rng: &mut StdRng,
     arity: usize,
 ) -> Option<PipelineStats> {
+    let answers = |o: &SolveOptions| {
+        let out = ev.run(db, Request::Answers, o);
+        (out.value.into_tuples(), out.pipeline)
+    };
+    let boolean = |o: &SolveOptions| ev.run(db, Request::Boolean, o).value.into_bool();
+    let check = |t: &[NodeId], o: &SolveOptions| ev.run(db, Request::Check(t), o).value.into_bool();
     let piped = SolveOptions::pipeline(); // analyze on
     let naive = SolveOptions::naive(); // analyze off — the reference
     let naive_analyzed = {
@@ -108,43 +53,43 @@ fn assert_analyzer_agreement(
         o
     };
 
-    let (ans_ref, _) = ev.answers(db, &naive);
-    let (ans_analyzed, stats) = ev.answers(db, &piped);
+    let (ans_ref, _) = answers(&naive);
+    let (ans_analyzed, stats) = answers(&piped);
     assert_eq!(
         ans_ref, ans_analyzed,
         "analyzer changed the answer relation"
     );
-    let (ans_plain, _) = ev.answers(db, &piped.clone().unanalyzed());
+    let (ans_plain, _) = answers(&piped.clone().unanalyzed());
     assert_eq!(
         ans_ref, ans_plain,
         "unanalyzed pipeline disagrees with naive"
     );
-    let (ans_naive_an, _) = ev.answers(db, &naive_analyzed);
+    let (ans_naive_an, _) = answers(&naive_analyzed);
     assert_eq!(
         ans_ref, ans_naive_an,
         "analyzer changed the naive answer relation"
     );
-    let (ans_proj, _) = ev.answers(db, &piped.clone().projected());
+    let (ans_proj, _) = answers(&piped.clone().projected());
     assert_eq!(
         ans_ref, ans_proj,
         "analyzer + projection pushdown changed the answer relation"
     );
-    let (ans_proj_plain, _) = ev.answers(db, &piped.clone().projected().unanalyzed());
+    let (ans_proj_plain, _) = answers(&piped.clone().projected().unanalyzed());
     assert_eq!(
         ans_ref, ans_proj_plain,
         "unanalyzed projection pushdown changed the answer relation"
     );
 
-    let b = ev.boolean(db, &naive);
-    assert_eq!(b, ev.boolean(db, &piped), "analyzer changed boolean()");
+    let b = boolean(&naive);
+    assert_eq!(b, boolean(&piped), "analyzer changed boolean()");
     assert_eq!(
         b,
-        ev.boolean(db, &naive_analyzed),
+        boolean(&naive_analyzed),
         "analyzer changed naive boolean()"
     );
     assert_eq!(
         b,
-        ev.boolean(db, &SolveOptions::early_exit()),
+        boolean(&SolveOptions::early_exit()),
         "analyzed early-exit changed boolean()"
     );
 
@@ -160,17 +105,17 @@ fn assert_analyzer_agreement(
     for t in &probes {
         let expected = ans_ref.contains(t);
         assert_eq!(
-            ev.check(db, t, &piped),
+            check(t, &piped),
             expected,
             "analyzed check disagrees on {t:?}"
         );
         assert_eq!(
-            ev.check(db, t, &piped.clone().unanalyzed()),
+            check(t, &piped.clone().unanalyzed()),
             expected,
             "unanalyzed check disagrees on {t:?}"
         );
         assert_eq!(
-            ev.check(db, t, &naive_analyzed),
+            check(t, &naive_analyzed),
             expected,
             "analyzed naive check disagrees on {t:?}"
         );

@@ -19,7 +19,9 @@
 
 use cxrpq::automata::Nfa;
 use cxrpq::core::reach::{reach_set, Direction, ReachCache};
-use cxrpq::core::{Crpq, CrpqEvaluator, Cxrpq, GraphPattern, SimpleEvaluator, SolveOptions};
+use cxrpq::core::{
+    Crpq, CrpqEvaluator, Cxrpq, Evaluate, GraphPattern, Request, SimpleEvaluator, SolveOptions,
+};
 use cxrpq::graph::{Alphabet, GraphBuilder, GraphDb, NodeId, Symbol};
 use cxrpq::workloads::rand_queries::{random_classical, random_simple, QueryShape};
 use proptest::prelude::*;
@@ -211,12 +213,12 @@ proptest! {
         let q = Crpq::new(pattern, vec![out0, out1]);
         let ev = CrpqEvaluator::new(&q);
         for opts in [SolveOptions::naive(), SolveOptions::pipeline().projected()] {
-            let (ans_l, _) = ev.answers_opts(&layered, &opts);
-            let (ans_o, _) = ev.answers_opts(&oneshot, &opts);
+            let ans_l = ev.run(&layered, Request::Answers, &opts).value.into_tuples();
+            let ans_o = ev.run(&oneshot, Request::Answers, &opts).value.into_tuples();
             prop_assert_eq!(ans_l, ans_o, "CRPQ answers diverge");
             prop_assert_eq!(
-                ev.boolean_opts(&layered, &opts).0,
-                ev.boolean_opts(&oneshot, &opts).0,
+                ev.run(&layered, Request::Boolean, &opts).value.into_bool(),
+                ev.run(&oneshot, Request::Boolean, &opts).value.into_bool(),
                 "CRPQ boolean diverges"
             );
         }
@@ -229,8 +231,8 @@ proptest! {
         let out0 = pattern.node_var("n0").unwrap();
         let q = Cxrpq::from_parts(pattern, cx, vec![out0]);
         let ev = SimpleEvaluator::new(&q).expect("generated queries are simple");
-        let (ans_l, _) = ev.answers_opts(&layered, &SolveOptions::pipeline());
-        let (ans_o, _) = ev.answers_opts(&oneshot, &SolveOptions::pipeline());
+        let ans_l = ev.run(&layered, Request::Answers, &SolveOptions::pipeline()).value.into_tuples();
+        let ans_o = ev.run(&oneshot, Request::Answers, &SolveOptions::pipeline()).value.into_tuples();
         prop_assert_eq!(ans_l, ans_o, "CXRPQ answers diverge");
     }
 

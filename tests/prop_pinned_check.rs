@@ -22,8 +22,8 @@
 use cxrpq::automata::{parse_regex, Nfa, Regex};
 use cxrpq::core::reach::{reach_set, Direction, ReachCache};
 use cxrpq::core::{
-    parse_query, AbortReason, Crpq, CrpqEvaluator, Ecrpq, EcrpqEvaluator, Governor, GraphPattern,
-    RegularRelation, SimpleEvaluator, SolveOptions, Verdict,
+    parse_query, AbortReason, Crpq, CrpqEvaluator, Ecrpq, EcrpqEvaluator, Evaluate, Governor,
+    GraphPattern, RegularRelation, Request, SimpleEvaluator, SolveOptions, Verdict,
 };
 use cxrpq::graph::{Alphabet, GraphBuilder, GraphDb, NodeId};
 use cxrpq::workloads::graphs::random_labeled;
@@ -136,14 +136,14 @@ proptest! {
         for (u, v) in pairs(&mut rng, nodes) {
             let bidirectional = ReachCache::new(nfa.clone()).connects_pair(&db, u, v);
             let closure = reach_set(&db, &nfa, u, Direction::Forward, None).contains(&v);
-            let naive = ev.check_opts(&db, &[u, v], &SolveOptions::naive()).0;
-            let planned = ev.check_opts(&db, &[u, v], &pruned()).0;
+            let naive = ev.run(&db, Request::Check(&[u, v]), &SolveOptions::naive()).value.into_bool();
+            let planned = ev.run(&db, Request::Check(&[u, v]), &pruned()).value.into_bool();
             prop_assert_eq!(bidirectional, closure, "{} from {:?} to {:?}", &text, u, v);
             prop_assert_eq!(naive, closure, "naive check of {} on {:?}", &text, (u, v));
             prop_assert_eq!(planned, closure, "pruned check of {} on {:?}", &text, (u, v));
             if u == v {
-                let naive = ev_loop.check_opts(&db, &[u], &SolveOptions::naive()).0;
-                let planned = ev_loop.check_opts(&db, &[u], &pruned()).0;
+                let naive = ev_loop.run(&db, Request::Check(&[u]), &SolveOptions::naive()).value.into_bool();
+                let planned = ev_loop.run(&db, Request::Check(&[u]), &pruned()).value.into_bool();
                 prop_assert_eq!(naive, closure, "naive self-loop {}", &text);
                 prop_assert_eq!(planned, closure, "pruned self-loop {}", &text);
             }
@@ -161,8 +161,8 @@ proptest! {
         let q = parse_query(&query, &mut a2).unwrap();
         let ev = SimpleEvaluator::new(&q).expect("the query is simple");
         for (u, v) in pairs(&mut rng, nodes) {
-            let naive = ev.check_opts(&db, &[u, v], &SolveOptions::naive()).0;
-            let planned = ev.check_opts(&db, &[u, v], &pruned()).0;
+            let naive = ev.run(&db, Request::Check(&[u, v]), &SolveOptions::naive()).value.into_bool();
+            let planned = ev.run(&db, Request::Check(&[u, v]), &pruned()).value.into_bool();
             prop_assert_eq!(planned, naive, "{} on {:?}", &query, (u, v));
         }
     }
@@ -182,8 +182,8 @@ proptest! {
             .expect("well-formed relation tuple");
         let ev = EcrpqEvaluator::new(&q);
         for (u, v) in pairs(&mut rng, nodes) {
-            let naive = ev.check_opts(&db, &[u, v], &SolveOptions::naive()).0;
-            let planned = ev.check_opts(&db, &[u, v], &pruned()).0;
+            let naive = ev.run(&db, Request::Check(&[u, v]), &SolveOptions::naive()).value.into_bool();
+            let planned = ev.run(&db, Request::Check(&[u, v]), &pruned()).value.into_bool();
             prop_assert_eq!(planned, naive, "{} on {:?}", &text, (u, v));
         }
     }
@@ -249,24 +249,22 @@ fn every_checkpoint_abort_memoizes_nothing_and_rechecks_clean() {
     let mut a2 = db.alphabet().clone();
     let q = Crpq::build(&[("x", "a(b|c)*a", "y")], &["x", "y"], &mut a2).unwrap();
     let ev = CrpqEvaluator::new(&q);
+    let check = |opts: &SolveOptions| ev.run(&db, Request::Check(&[u, v]), opts);
     let dry = Arc::new(Governor::unlimited());
-    assert!(
-        ev.check_opts(&db, &[u, v], &pruned().governed(dry.clone()))
-            .0
-    );
+    assert!(check(&pruned().governed(dry.clone())).value.into_bool());
     for k in 1..=dry.checkpoints_seen() {
         let gov = Arc::new(Governor::unlimited().with_injection(k));
-        let (out, _) = ev.check_outcome(&db, &[u, v], &pruned().governed(gov.clone()));
+        let out = check(&pruned().governed(gov.clone()));
         assert_eq!(
             out.verdict,
             Verdict::Aborted(AbortReason::Injected),
             "k={k}"
         );
-        assert!(!out.value, "k={k}: an aborted check never invents a match");
         assert!(
-            ev.check_opts(&db, &[u, v], &pruned()).0,
-            "k={k}: clean re-check"
+            !out.value.into_bool(),
+            "k={k}: an aborted check never invents a match"
         );
+        assert!(check(&pruned()).value.into_bool(), "k={k}: clean re-check");
     }
 }
 

@@ -23,8 +23,8 @@
 //! variable is also the last shared variable of the plan order.
 
 use cxrpq::core::{
-    Crpq, CrpqEvaluator, Cxrpq, Ecrpq, EcrpqEvaluator, GraphPattern, PipelineStats,
-    RegularRelation, SimpleEvaluator, SolveOptions,
+    Crpq, CrpqEvaluator, Cxrpq, Ecrpq, EcrpqEvaluator, Evaluate, GraphPattern, PipelineStats,
+    RegularRelation, Request, SimpleEvaluator, SolveOptions,
 };
 use cxrpq::graph::{Alphabet, GraphDb, NodeId, Symbol};
 use cxrpq::workloads::graphs::{labeled_path, random_labeled};
@@ -39,116 +39,54 @@ use std::sync::Arc;
 /// and let release runs explore more of the space.
 const CASES: u32 = if cfg!(debug_assertions) { 10 } else { 48 };
 
-/// One evaluator façade: `answers`/`boolean`/`check` under explicit solver
-/// options, so the three query families share the comparison harness.
-trait Differential {
-    fn answers(
-        &self,
-        db: &GraphDb,
-        opts: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>);
-    fn boolean(&self, db: &GraphDb, opts: &SolveOptions) -> bool;
-    fn check(&self, db: &GraphDb, tuple: &[NodeId], opts: &SolveOptions) -> bool;
-}
-
-impl Differential for CrpqEvaluator<'_> {
-    fn answers(
-        &self,
-        db: &GraphDb,
-        o: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
-        self.answers_opts(db, o)
-    }
-    fn boolean(&self, db: &GraphDb, o: &SolveOptions) -> bool {
-        self.boolean_opts(db, o).0
-    }
-    fn check(&self, db: &GraphDb, t: &[NodeId], o: &SolveOptions) -> bool {
-        self.check_opts(db, t, o).0
-    }
-}
-
-impl Differential for SimpleEvaluator<'_> {
-    fn answers(
-        &self,
-        db: &GraphDb,
-        o: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
-        self.answers_opts(db, o)
-    }
-    fn boolean(&self, db: &GraphDb, o: &SolveOptions) -> bool {
-        self.boolean_opts(db, o).0
-    }
-    fn check(&self, db: &GraphDb, t: &[NodeId], o: &SolveOptions) -> bool {
-        self.check_opts(db, t, o).0
-    }
-}
-
-impl Differential for EcrpqEvaluator<'_> {
-    fn answers(
-        &self,
-        db: &GraphDb,
-        o: &SolveOptions,
-    ) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
-        self.answers_opts(db, o)
-    }
-    fn boolean(&self, db: &GraphDb, o: &SolveOptions) -> bool {
-        self.boolean_opts(db, o).0
-    }
-    fn check(&self, db: &GraphDb, t: &[NodeId], o: &SolveOptions) -> bool {
-        self.check_opts(db, t, o).0
-    }
-}
-
 /// Asserts naive ≡ pipeline ≡ early-exit on one (query, database) pair and
 /// returns the pipeline stats for shape-specific assertions. `arity` is the
 /// query's output arity, so the random and out-of-range `check` probes run
 /// even when the answer relation is empty.
 fn assert_agreement(
-    ev: &dyn Differential,
+    ev: &dyn Evaluate,
     db: &GraphDb,
     rng: &mut StdRng,
     arity: usize,
 ) -> Option<PipelineStats> {
+    let answers = |o: &SolveOptions| {
+        let out = ev.run(db, Request::Answers, o);
+        (out.value.into_tuples(), out.pipeline)
+    };
+    let boolean = |o: &SolveOptions| ev.run(db, Request::Boolean, o).value.into_bool();
+    let check = |t: &[NodeId], o: &SolveOptions| ev.run(db, Request::Check(t), o).value.into_bool();
     let naive = SolveOptions::naive();
     let piped = SolveOptions::pipeline();
     let early = SolveOptions::early_exit();
 
-    let (ans_naive, no_stats) = ev.answers(db, &naive);
+    let (ans_naive, no_stats) = answers(&naive);
     assert!(
         no_stats.is_none(),
         "naive runs must not report pipeline stats"
     );
-    let (ans_piped, stats) = ev.answers(db, &piped);
+    let (ans_piped, stats) = answers(&piped);
     assert_eq!(ans_naive, ans_piped, "pipeline changed the answer relation");
     // Projection pushdown (existential elimination + enumerator dedup) must
     // reproduce the full-enumerate-then-project reference — both on top of
     // the pipeline and on the bare naive path (no plan, no domains), which
     // isolates the dynamic cutoff logic.
-    let (ans_proj, _) = ev.answers(db, &piped.clone().projected());
+    let (ans_proj, _) = answers(&piped.clone().projected());
     assert_eq!(
         ans_naive, ans_proj,
         "projection pushdown changed the answer relation"
     );
-    let (ans_proj_naive, _) = ev.answers(db, &naive.clone().projected());
+    let (ans_proj_naive, _) = answers(&naive.clone().projected());
     assert_eq!(
         ans_naive, ans_proj_naive,
         "unplanned projection pushdown changed the answer relation"
     );
 
-    let b_naive = ev.boolean(db, &naive);
+    let b_naive = boolean(&naive);
+    assert_eq!(b_naive, boolean(&piped), "pipeline changed boolean()");
+    assert_eq!(b_naive, boolean(&early), "early-exit cap changed boolean()");
     assert_eq!(
         b_naive,
-        ev.boolean(db, &piped),
-        "pipeline changed boolean()"
-    );
-    assert_eq!(
-        b_naive,
-        ev.boolean(db, &early),
-        "early-exit cap changed boolean()"
-    );
-    assert_eq!(
-        b_naive,
-        ev.boolean(db, &early.clone().projected()),
+        boolean(&early.clone().projected()),
         "all-existential boolean fast path changed boolean()"
     );
 
@@ -164,23 +102,11 @@ fn assert_agreement(
     probes.push(vec![NodeId(db.node_count() as u32 + 7); arity]);
     for t in &probes {
         let expected = ans_naive.contains(t);
+        assert_eq!(check(t, &naive), expected, "naive check disagrees on {t:?}");
+        assert_eq!(check(t, &piped), expected, "piped check disagrees on {t:?}");
+        assert_eq!(check(t, &early), expected, "early check disagrees on {t:?}");
         assert_eq!(
-            ev.check(db, t, &naive),
-            expected,
-            "naive check disagrees on {t:?}"
-        );
-        assert_eq!(
-            ev.check(db, t, &piped),
-            expected,
-            "piped check disagrees on {t:?}"
-        );
-        assert_eq!(
-            ev.check(db, t, &early),
-            expected,
-            "early check disagrees on {t:?}"
-        );
-        assert_eq!(
-            ev.check(db, t, &early.clone().projected()),
+            check(t, &early.clone().projected()),
             expected,
             "projected check disagrees on {t:?}"
         );
@@ -331,8 +257,14 @@ fn output_as_last_shared_variable_dedups_correctly() {
     )
     .unwrap();
     let ev = CrpqEvaluator::new(&q);
-    let (naive, _) = ev.answers_opts(&db, &SolveOptions::naive());
-    let (projected, _) = ev.answers_opts(&db, &SolveOptions::pipeline().projected());
+    let naive = ev
+        .run(&db, Request::Answers, &SolveOptions::naive())
+        .value
+        .into_tuples();
+    let projected = ev
+        .run(&db, Request::Answers, &SolveOptions::pipeline().projected())
+        .value
+        .into_tuples();
     assert_eq!(naive, projected);
     // Both a-branches reach t1, but only via the c-edge-consistent pair.
     let (s, t1, _) = names;

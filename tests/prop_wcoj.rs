@@ -15,8 +15,8 @@
 //! under-approximation and leaves no stale state behind.
 
 use cxrpq::core::{
-    AbortReason, Crpq, CrpqEvaluator, Cxrpq, Governor, GraphPattern, PipelineStats,
-    SimpleEvaluator, SolveOptions, Strategy,
+    AbortReason, Crpq, CrpqEvaluator, Cxrpq, Evaluate, Governor, GraphPattern, Outcome,
+    PipelineStats, Request, SimpleEvaluator, SolveOptions, Strategy,
 };
 use cxrpq::graph::{Alphabet, NodeId};
 use cxrpq::workloads::graphs::random_labeled;
@@ -31,22 +31,27 @@ use std::sync::Arc;
 /// and let release runs explore more of the space.
 const CASES: u32 = if cfg!(debug_assertions) { 8 } else { 32 };
 
-type Solve<'a> = dyn Fn(&SolveOptions) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) + 'a;
+type Solve<'a> = dyn Fn(&SolveOptions) -> Outcome + 'a;
+
+/// The answer relation and pipeline stats of an `Answers` run.
+fn split(out: Outcome) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
+    (out.value.into_tuples(), out.pipeline)
+}
 
 /// Asserts that every strategy agrees with the naive reference — full and
 /// projected — and that the forced backtracker never seeks. Returns the
 /// Auto-routed pipeline stats for shape-specific assertions.
 fn assert_strategies_agree(solve: &Solve) -> PipelineStats {
-    let (reference, _) = solve(&SolveOptions::naive());
+    let (reference, _) = split(solve(&SolveOptions::naive()));
     let auto = SolveOptions::pipeline();
     let back = SolveOptions::pipeline().with_strategy(Strategy::Backtrack);
     let leap = SolveOptions::pipeline().with_strategy(Strategy::Leapfrog);
 
-    let (ans_auto, stats) = solve(&auto);
+    let (ans_auto, stats) = split(solve(&auto));
     assert_eq!(reference, ans_auto, "auto strategy changed the answers");
-    let (ans_back, back_stats) = solve(&back);
+    let (ans_back, back_stats) = split(solve(&back));
     assert_eq!(reference, ans_back, "forced backtrack changed the answers");
-    let (ans_leap, _) = solve(&leap);
+    let (ans_leap, _) = split(solve(&leap));
     assert_eq!(reference, ans_leap, "forced leapfrog changed the answers");
     assert_eq!(
         back_stats
@@ -59,7 +64,7 @@ fn assert_strategies_agree(solve: &Solve) -> PipelineStats {
 
     for opts in [auto, back, leap] {
         let strategy = opts.strategy;
-        let (projected, _) = solve(&opts.projected());
+        let (projected, _) = split(solve(&opts.projected()));
         assert_eq!(
             reference, projected,
             "projection pushdown diverged under {strategy:?}"
@@ -104,7 +109,7 @@ fn check_shape(
         .collect();
     let q = Crpq::new(pattern, outputs);
     let ev = CrpqEvaluator::new(&q);
-    let stats = assert_strategies_agree(&|o| ev.answers_opts(&db, o));
+    let stats = assert_strategies_agree(&|o| ev.run(&db, Request::Answers, o));
     let intact = stats
         .analysis
         .as_ref()
@@ -184,7 +189,7 @@ proptest! {
         let alpha = Arc::new(Alphabet::from_chars("ab"));
         let db = random_labeled(alpha, 4, 10, seed ^ 0x51e9);
         let ev = SimpleEvaluator::new(&q).expect("generated queries are simple");
-        assert_strategies_agree(&|o| ev.answers_opts(&db, o));
+        assert_strategies_agree(&|o| ev.run(&db, Request::Answers, o));
     }
 }
 
@@ -205,7 +210,7 @@ fn triangle_routes_to_leapfrog_and_counts_seeks() {
     .unwrap();
     let ev = CrpqEvaluator::new(&q);
 
-    let (auto_ans, stats) = ev.answers_opts(&db, &SolveOptions::pipeline());
+    let (auto_ans, stats) = split(ev.run(&db, Request::Answers, &SolveOptions::pipeline()));
     let s = stats.expect("planned runs report stats");
     assert_eq!(s.leapfrog_components, 1);
     assert_eq!(s.tree_components, 0);
@@ -215,13 +220,16 @@ fn triangle_routes_to_leapfrog_and_counts_seeks() {
     );
 
     let back = SolveOptions::pipeline().with_strategy(Strategy::Backtrack);
-    let (back_ans, back_stats) = ev.answers_opts(&db, &back);
+    let (back_ans, back_stats) = split(ev.run(&db, Request::Answers, &back));
     assert_eq!(auto_ans, back_ans);
     let bs = back_stats.unwrap();
     assert_eq!(bs.leapfrog_components, 0);
     assert_eq!(bs.intersection_seeks, 0);
 
-    let (naive_ans, _) = ev.answers_opts(&db, &SolveOptions::naive());
+    let naive_ans = ev
+        .run(&db, Request::Answers, &SolveOptions::naive())
+        .value
+        .into_tuples();
     assert_eq!(auto_ans, naive_ans);
     assert!(
         !auto_ans.is_empty(),
@@ -233,7 +241,7 @@ fn triangle_routes_to_leapfrog_and_counts_seeks() {
         SolveOptions::early_exit().with_strategy(Strategy::Backtrack),
         SolveOptions::early_exit().with_strategy(Strategy::Leapfrog),
     ] {
-        assert!(ev.boolean_opts(&db, &opts).0);
+        assert!(ev.run(&db, Request::Boolean, &opts).value.into_bool());
     }
 }
 
@@ -254,24 +262,30 @@ fn leapfrog_aborts_are_sound() {
     .unwrap();
     let ev = CrpqEvaluator::new(&q);
     let leap = SolveOptions::pipeline().with_strategy(Strategy::Leapfrog);
-    let (complete, stats) = ev.answers_opts(&db, &leap);
+    let (complete, stats) = split(ev.run(&db, Request::Answers, &leap));
     assert!(
         stats.unwrap().intersection_seeks > 0,
         "the sweep must actually exercise the leapfrog loop"
     );
 
     let dry = Arc::new(Governor::unlimited());
-    let (governed, _) = ev.answers_opts(&db, &leap.clone().governed(dry.clone()));
+    let governed = ev
+        .run(&db, Request::Answers, &leap.clone().governed(dry.clone()))
+        .value
+        .into_tuples();
     assert_eq!(governed, complete, "an untripped governor changed answers");
     let seen = dry.checkpoints_seen();
     assert!(seen > 0, "vacuous sweep: no checkpoints passed");
 
     for k in 1..=seen {
         let gov = Arc::new(Governor::unlimited().with_injection(k));
-        let (partial, _) = ev.answers_opts(&db, &leap.clone().governed(gov.clone()));
+        let partial = ev
+            .run(&db, Request::Answers, &leap.clone().governed(gov.clone()))
+            .value
+            .into_tuples();
         assert_eq!(gov.abort_reason(), Some(AbortReason::Injected), "k={k}");
         assert!(partial.is_subset(&complete), "k={k}: partial ⊄ complete");
-        let (repeat, _) = ev.answers_opts(&db, &leap);
+        let repeat = ev.run(&db, Request::Answers, &leap).value.into_tuples();
         assert_eq!(repeat, complete, "k={k}: post-abort re-solve diverged");
     }
 }

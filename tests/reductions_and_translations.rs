@@ -2,8 +2,8 @@
 //! the §7 translations against direct evaluation.
 
 use cxrpq::core::{
-    translate, BoundedEvaluator, CrpqEvaluator, EcrpqEvaluator, GenericEvaluator, GenericOutcome,
-    VsfEvaluator,
+    translate, BoundedEvaluator, CrpqEvaluator, EcrpqEvaluator, Evaluate, GenericEvaluator,
+    GenericOutcome, VsfEvaluator,
 };
 use cxrpq::graph::Alphabet;
 use cxrpq::workloads::{graphs, reductions, witnesses};

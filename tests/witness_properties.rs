@@ -4,7 +4,7 @@
 //! (b) certify against the pattern and the independent conjunctive-match
 //! oracle.
 
-use cxrpq::core::{BoundedEvaluator, CxrpqBuilder, SimpleEvaluator, VsfEvaluator};
+use cxrpq::core::{BoundedEvaluator, CxrpqBuilder, Evaluate, SimpleEvaluator, VsfEvaluator};
 use cxrpq::graph::{Alphabet, GraphBuilder, GraphDb, Symbol};
 use cxrpq::xregex::matcher::MatchConfig;
 use proptest::prelude::*;

@@ -4,8 +4,8 @@
 //! conjunctive match, checked by the independent backtracking oracle).
 
 use cxrpq::core::{
-    BoundedEvaluator, Crpq, CrpqEvaluator, CxrpqBuilder, Ecrpq, EcrpqEvaluator, GraphPattern,
-    RegularRelation, SimpleEvaluator, VsfEvaluator,
+    BoundedEvaluator, Crpq, CrpqEvaluator, CxrpqBuilder, Ecrpq, EcrpqEvaluator, Evaluate,
+    GraphPattern, RegularRelation, SimpleEvaluator, VsfEvaluator,
 };
 use cxrpq::graph::{Alphabet, GraphBuilder, GraphDb, NodeId};
 use cxrpq::xregex::matcher::MatchConfig;
