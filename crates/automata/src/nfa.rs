@@ -385,6 +385,25 @@ impl Nfa {
         out
     }
 
+    /// Concatenation automaton accepting `L(a)·L(b)`: `b`'s states follow
+    /// `a`'s, each final state of `a` gets an ε-arc to `b`'s start, and
+    /// only `b`'s finals stay final.
+    pub fn concat(a: &Nfa, b: &Nfa) -> Nfa {
+        let offset = a.state_count() as u32;
+        let mut out = a.clone();
+        out.finals.fill(false);
+        out.finals.extend_from_slice(&b.finals);
+        out.trans.extend(b.trans.iter().map(|row| {
+            row.iter()
+                .map(|&(l, t)| (l, StateId(t.0 + offset)))
+                .collect()
+        }));
+        for f in a.final_states() {
+            out.add_transition(f, Label::Eps, StateId(b.start.0 + offset));
+        }
+        out
+    }
+
     /// Whether `ε ∈ L(self)` (some start-closure state is final).
     pub fn accepts_epsilon(&self) -> bool {
         self.any_final(&self.start_set())
@@ -720,6 +739,25 @@ mod tests {
         assert!(u.accepts(&w(&a, "aa")));
         assert!(u.accepts(&w(&a, "bb")));
         assert!(!u.accepts(&w(&a, "ab")));
+    }
+
+    #[test]
+    fn concat_accepts_the_product_language() {
+        let (m1, a) = nfa_of("a(b|c)*");
+        let (m2, _) = nfa_of("_|c");
+        let c = Nfa::concat(&m1, &m2);
+        for (text, want) in [
+            ("a", true),
+            ("ac", true),
+            ("abcc", true),
+            ("", false),
+            ("c", false),
+        ] {
+            assert_eq!(c.accepts(&w(&a, text)), want, "{text:?}");
+        }
+        let (e, _) = nfa_of("!");
+        assert!(Nfa::concat(&m1, &e).is_empty());
+        assert!(Nfa::concat(&e, &m1).is_empty());
     }
 
     #[test]

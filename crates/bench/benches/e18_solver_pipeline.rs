@@ -20,6 +20,15 @@
 //! - **single** — one atom, the pipeline-overhead regression guard (the
 //!   acceptance bar is staying within 10% of naive);
 //!
+//! - **unary_star** and **chain3** — a single star-regex atom projected
+//!   onto its target, and three one-letter atoms in a line projected onto
+//!   both ends: the existential-elimination shapes. The source variable of
+//!   `unary_star` is a leaf the prune phase peels with one set sweep; the
+//!   middle variables of `chain3` contract into one `abc` atom. Both run a
+//!   same-run A/B against the pipeline with the analyzer off (which turns
+//!   both eliminations off), interleaved sample by sample, recorded with
+//!   min/median/max;
+//!
 //! plus the **line** shape from e17's adversarial batching case, where the
 //! adaptive probe must route prune fills to per-source sweeps (asserted)
 //! and the middle variable makes naive enumeration morphism-cubic while
@@ -131,6 +140,12 @@ struct ShapeResult {
     pipeline_ms: f64,
     per_source_sweeps: bool,
     eliminated_vars: usize,
+    /// Variables the analyzer contracted away in phase 0.
+    contracted_vars: usize,
+    /// Existential leaves the prune phase peeled.
+    peeled_vars: usize,
+    /// The existential-elimination A/B (see [`run_elimination_shape`]).
+    elimination: Option<EliminationAb>,
     /// Cyclic cores routed to the leapfrog intersection by the Auto
     /// strategy (0 on tree shapes).
     leapfrog_components: usize,
@@ -141,6 +156,47 @@ struct ShapeResult {
     /// Governed smoke outcome when `CXRPQ_SMOKE_MAX_STEPS` is set:
     /// (aborted?, partial answer count).
     governed: Option<(bool, usize)>,
+}
+
+/// Same-run A/B of existential elimination: the pipeline with the
+/// analyzer off (`off`, no contraction and no peel) against the default
+/// pipeline (`on`), as `[min, median, max]` milliseconds.
+struct EliminationAb {
+    off: [f64; 3],
+    on: [f64; 3],
+}
+
+/// `[min, median, max]` of `samples` in milliseconds.
+fn spread_ms(mut samples: Vec<Duration>) -> [f64; 3] {
+    samples.sort();
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    [
+        ms(samples[0]),
+        ms(samples[samples.len() / 2]),
+        ms(samples[samples.len() - 1]),
+    ]
+}
+
+/// Where and how the numbers were taken: worker threads the process may
+/// use, the build profile and the commit (`-dirty` when the tree has
+/// uncommitted changes), as a JSON object.
+fn env_fingerprint() -> String {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        );
+    format!("{{\"threads\": {threads}, \"profile\": \"{profile}\", \"git_rev\": \"{rev}\"}}")
 }
 
 /// The governed-smoke fuel budget, when the env var is set.
@@ -175,6 +231,10 @@ fn run_shape(
     let stats = piped_out.pipeline.as_ref();
     let per_source_sweeps = stats.map(|s| s.per_source_sweeps).unwrap_or(false);
     let eliminated_vars = stats.map(|s| s.eliminated_vars).unwrap_or(0);
+    let contracted_vars = stats
+        .and_then(|s| s.analysis.as_ref())
+        .map_or(0, |a| a.stats.vars_contracted);
+    let peeled_vars = stats.map_or(0, |s| s.peeled_vars);
     let leapfrog_components = stats.map(|s| s.leapfrog_components).unwrap_or(0);
 
     // Governed smoke: the same solve under an aggressive fuel budget must
@@ -220,10 +280,55 @@ fn run_shape(
         pipeline_ms,
         per_source_sweeps,
         eliminated_vars,
+        contracted_vars,
+        peeled_vars,
+        elimination: None,
         leapfrog_components,
         backtrack_ms: None,
         governed,
     }
+}
+
+/// An existential-elimination shape: [`run_shape`], then the same-run A/B
+/// of the pipeline with the analyzer off against the default pipeline,
+/// one sample of each in turn.
+fn run_elimination_shape(
+    shape: &'static str,
+    db: &GraphDb,
+    query_edges: &[(&str, &str, &str)],
+    output: &[&str],
+    iters: usize,
+) -> ShapeResult {
+    let mut r = run_shape(shape, db, query_edges, output, iters);
+    assert!(
+        r.contracted_vars + r.peeled_vars > 0,
+        "{shape}: nothing was eliminated"
+    );
+    let mut alpha = db.alphabet().clone();
+    let q = Crpq::build(query_edges, output, &mut alpha).unwrap();
+    let ev = CrpqEvaluator::new(&q);
+    let on = SolveOptions::pipeline().projected();
+    let off = on.clone().unanalyzed();
+    assert_eq!(
+        ev.run(db, Request::Answers, &off).value.into_tuples(),
+        ev.run(db, Request::Answers, &on).value.into_tuples(),
+        "{shape}: elimination changed the answers"
+    );
+    let time = |opts: &SolveOptions| {
+        let t0 = Instant::now();
+        std::hint::black_box(ev.run(db, Request::Answers, opts));
+        t0.elapsed()
+    };
+    let (mut offs, mut ons) = (Vec::new(), Vec::new());
+    for _ in 0..2 * iters + 1 {
+        offs.push(time(&off));
+        ons.push(time(&on));
+    }
+    r.elimination = Some(EliminationAb {
+        off: spread_ms(offs),
+        on: spread_ms(ons),
+    });
+    r
 }
 
 /// A cyclic shape measured under three enumeration lanes: the naive
@@ -298,6 +403,7 @@ fn main() {
             iters,
         );
         assert_eq!(r.eliminated_vars, 4, "star_proj: all spokes existential");
+        assert_eq!(r.peeled_vars, 4, "star_proj: every spoke is a leaf");
         results.push(r);
     }
     // Chain: naive discovers the rare tail only after enumerating every
@@ -337,8 +443,9 @@ fn main() {
             iters,
         );
         assert_eq!(
-            r.eliminated_vars, 4,
-            "chain_tail: output bias must leave only x5 in the prefix"
+            r.eliminated_vars + r.contracted_vars,
+            4,
+            "chain_tail: only x5 may stay in the prefix (x2..x4 contract)"
         );
         results.push(r);
     }
@@ -399,8 +506,37 @@ fn main() {
             &["x"],
             iters,
         );
-        assert_eq!(r2.eliminated_vars, 2, "line_proj: y and z existential");
+        assert_eq!(
+            r2.eliminated_vars + r2.contracted_vars,
+            2,
+            "line_proj: y and z existential (y contracts)"
+        );
         results.push(r2);
+    }
+    // Existential elimination: a unary star-regex query (its source is a
+    // peeled leaf) and a three-letter chain projected onto its ends (its
+    // middle variables contract).
+    {
+        let n = 1000 / scale;
+        let db = random_ab_rare_c(n, 3 * n, n / 10, 0x57a);
+        results.push(run_elimination_shape(
+            "unary_star",
+            &db,
+            &[("x", "(a|b)*c(a|b)*", "y")],
+            &["y"],
+            iters,
+        ));
+    }
+    {
+        let n = 4000 / scale;
+        let db = random_ab_rare_c(n, 3 * n, n / 2, 0xc3a);
+        results.push(run_elimination_shape(
+            "chain3",
+            &db,
+            &[("x", "a", "y"), ("y", "b", "z"), ("z", "c", "w")],
+            &["x", "w"],
+            iters,
+        ));
     }
     // Cyclic cores: the worst-case-optimal leapfrog lane vs the forced
     // backtracker vs naive.
@@ -485,6 +621,24 @@ fn main() {
         );
     }
 
+    if results.iter().any(|r| r.elimination.is_some()) {
+        println!(
+            "\n{:<14} {:>24} {:>24} {:>7}",
+            "elimination", "off min/p50/max", "on min/p50/max", "x"
+        );
+        for r in &results {
+            let Some(ab) = &r.elimination else { continue };
+            let fmt = |s: &[f64; 3]| format!("{:.2}/{:.2}/{:.2}ms", s[0], s[1], s[2]);
+            println!(
+                "{:<14} {:>24} {:>24} {:>6.2}x",
+                r.shape,
+                fmt(&ab.off),
+                fmt(&ab.on),
+                ab.off[1] / ab.on[1]
+            );
+        }
+    }
+
     // The strategy comparison on cyclic shapes: pipeline_ms above is the
     // leapfrog lane; this table adds the forced-backtrack lane.
     if results.iter().any(|r| r.backtrack_ms.is_some()) {
@@ -529,6 +683,7 @@ fn main() {
         .unwrap_or_else(|| format!("{}/../../BENCH_solver.json", env!("CARGO_MANIFEST_DIR")));
     let mut json = String::from("{\n  \"bench\": \"e18_solver_pipeline\",\n  \"mode\": ");
     json.push_str(if fast { "\"fast\"" } else { "\"full\"" });
+    json.push_str(&format!(",\n  \"env\": {}", env_fingerprint()));
     json.push_str(",\n  \"shapes\": [\n");
     for (i, r) in results.iter().enumerate() {
         let strategy = match r.backtrack_ms {
@@ -541,21 +696,40 @@ fn main() {
             ),
             None => String::new(),
         };
+        let elimination = match &r.elimination {
+            Some(ab) => format!(
+                ", \"elimination_off_ms\": [{:.4}, {:.4}, {:.4}], \
+                 \"elimination_on_ms\": [{:.4}, {:.4}, {:.4}], \
+                 \"elimination_speedup\": {:.2}",
+                ab.off[0],
+                ab.off[1],
+                ab.off[2],
+                ab.on[0],
+                ab.on[1],
+                ab.on[2],
+                ab.off[1] / ab.on[1]
+            ),
+            None => String::new(),
+        };
         json.push_str(&format!(
             "    {{\"shape\": \"{}\", \"nodes\": {}, \"edges\": {}, \"atoms\": {}, \
-             \"answers\": {}, \"eliminated_vars\": {}, \"naive_ms\": {:.4}, \
+             \"answers\": {}, \"eliminated_vars\": {}, \"contracted_vars\": {}, \
+             \"peeled_vars\": {}, \"naive_ms\": {:.4}, \
              \"pipeline_ms\": {:.4}, \"pipeline_speedup\": {:.2}, \
-             \"per_source_sweeps\": {}{}}}{}\n",
+             \"per_source_sweeps\": {}{}{}}}{}\n",
             r.shape,
             r.nodes,
             r.edges,
             r.atoms,
             r.answers,
             r.eliminated_vars,
+            r.contracted_vars,
+            r.peeled_vars,
             r.naive_ms,
             r.pipeline_ms,
             r.naive_ms / r.pipeline_ms,
             r.per_source_sweeps,
+            elimination,
             strategy,
             if i + 1 < results.len() { "," } else { "" }
         ));

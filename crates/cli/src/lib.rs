@@ -119,8 +119,8 @@ fn render_analysis(out: &mut String, stats: Option<&cxrpq_core::PipelineStats>) 
     };
     let _ = writeln!(
         out,
-        "analysis: {} atom(s) dropped · {} var(s) merged · {} universal · {}",
-        st.atoms_dropped, st.vars_merged, st.universal_atoms, verdict
+        "analysis: {} atom(s) dropped · {} var(s) merged · {} var(s) contracted · {} universal · {}",
+        st.atoms_dropped, st.vars_merged, st.vars_contracted, st.universal_atoms, verdict
     );
     for d in report.diagnostics.iter() {
         let _ = writeln!(out, "  {d}");
@@ -138,12 +138,15 @@ fn render_pipeline(out: &mut String, stats: Option<&cxrpq_core::PipelineStats>) 
         "batched wavefronts"
     };
     // Projection pushdown: how many plan variables were existentially
-    // eliminated instead of enumerated (empty when projection was off).
-    let eliminated = if s.eliminated_vars > 0 {
-        format!(" · {} var(s) eliminated", s.eliminated_vars)
-    } else {
-        String::new()
-    };
+    // eliminated instead of enumerated, and how many of those were peeled
+    // as leaves before enumeration (empty when projection was off).
+    let mut eliminated = String::new();
+    if s.eliminated_vars > 0 {
+        let _ = write!(eliminated, " · {} var(s) eliminated", s.eliminated_vars);
+    }
+    if s.peeled_vars > 0 {
+        let _ = write!(eliminated, " · {} leaf var(s) peeled", s.peeled_vars);
+    }
     if s.domain_before.is_empty() {
         // Pruning was skipped (nothing to prune, or an early-exiting call
         // with no pinned binding staying lazy).
@@ -549,6 +552,17 @@ edge n0 a n3
         assert!(out.contains("[subsumed-atom]"), "{out}");
         assert!(out.contains("warning"), "{out}");
         assert!(out.contains("(u, m2)"), "{out}");
+    }
+
+    #[test]
+    fn eval_reports_contracted_and_peeled_vars() {
+        // `y` sits between one in-atom and one out-atom: it contracts into
+        // one `a·b` atom from `x` to `z`, and `z` then peels into `x`.
+        let query = "ans(x) <- (x) -[ a ]-> (y), (y) -[ b ]-> (z)";
+        let out = eval(GRAPH, query, EvalCmdOptions::default()).unwrap();
+        assert!(out.contains("1 var(s) contracted"), "{out}");
+        assert!(out.contains("[contracted-var]"), "{out}");
+        assert!(out.contains("1 leaf var(s) peeled"), "{out}");
     }
 
     #[test]

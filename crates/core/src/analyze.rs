@@ -28,6 +28,17 @@
 //! - **Structure** — a cyclic constraint component (at least as many atoms
 //!   as variables) is reported as `cyclic-pattern`, the backtracker's
 //!   worst shape.
+//! - **Contraction** — under projection pushdown, an existential variable
+//!   `z` (not output, not pinned, in no group) met by exactly one in-atom
+//!   `(x, A, z)` and one out-atom `(z, B, y)` with `x ≠ y` only asks for
+//!   *some* midpoint of an `A·B` path, so the two atoms become one atom
+//!   `(x, A·B, y)` ([`Nfa::concat`]) and `z` leaves the problem
+//!   (Figueira–Morvan–Romero's equivalence setting). One pass in variable
+//!   order reaches the fixpoint, since a contraction never makes another
+//!   variable contractible, so whole existential paths fold into one atom.
+//!   `x = y` is left alone: the folded self-loop is slower than the pair
+//!   it replaces. Witness requests output every variable, so they never
+//!   contract. Like the ε-merges, the rewrite lasts one solver call.
 //!
 //! The analyzer is on by default
 //! ([`SolveOptions::analyze`](crate::solve::SolveOptions::analyze)); the
@@ -60,6 +71,9 @@ pub struct AnalysisStats {
     pub universal_atoms: usize,
     /// Containment checks abandoned at the state budget.
     pub containment_capped: usize,
+    /// Existential node variables contracted away (two atoms joined into
+    /// one over the concatenated language).
+    pub vars_contracted: usize,
 }
 
 /// The analyzer's report: counters plus the ranked lint list.
@@ -82,6 +96,22 @@ pub(crate) struct Analysis {
     pub drop_edges: Vec<bool>,
     /// Per-free-edge `Σ*`-universal flags (original indices).
     pub universal: Vec<bool>,
+    /// Degree-2 contractions, in the order they apply.
+    pub contractions: Vec<Contraction>,
+}
+
+/// One degree-2 contraction: atoms `first = (src, A, var)` and
+/// `second = (var, B, dst)` become the atom `(src, A·B, dst)`. Atom
+/// indices count the problem's free edges first and then the atoms of
+/// earlier contractions: contraction `k` makes atom `free_edges.len() + k`.
+/// Variables are union-find representatives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Contraction {
+    pub var: usize,
+    pub first: usize,
+    pub second: usize,
+    pub src: usize,
+    pub dst: usize,
 }
 
 /// Union-find with the smallest member as representative, so unified
@@ -149,13 +179,16 @@ fn footprint_reachable(nfa: &Nfa, db: &GraphDb) -> bool {
 
 /// Runs every analysis pass over the problem's constraints. Pure: the
 /// constraints are only read; the caller applies (and later undoes) the
-/// returned rewrite plan.
+/// returned rewrite plan. `frozen` turns on degree-2 contraction (the
+/// caller passes it under projection pushdown): `frozen[v]` keeps `v` (an
+/// output, a pinned variable or a group endpoint).
 pub(crate) fn analyze(
     node_count: usize,
     free_edges: &[FreeEdge],
     groups: &[Group],
     db: &GraphDb,
     opts: &AnalyzeOptions,
+    frozen: Option<&[bool]>,
 ) -> Analysis {
     let sigma = db.alphabet().len();
     let mut diags = Diagnostics::default();
@@ -353,6 +386,30 @@ pub(crate) fn analyze(
         }
     }
 
+    let contractions = match frozen {
+        Some(frozen) if !stats.unsat => {
+            let cs = contract(&mut uf, free_edges, &drop_edges, frozen);
+            let n = free_edges.len();
+            for (k, c) in cs.iter().enumerate() {
+                diags.push(
+                    Lint::ContractedVar,
+                    Severity::Info,
+                    AtomRef::Pattern,
+                    format!(
+                        "existential node variable ?{} contracted: (?{}) -[ {} ]-> (?{}) is one atom",
+                        c.var,
+                        c.src,
+                        atom_name(&cs, n, n + k),
+                        c.dst
+                    ),
+                );
+            }
+            stats.vars_contracted = cs.len();
+            cs
+        }
+        _ => Vec::new(),
+    };
+
     // Structural pass: flag cyclic constraint components (post-rewrite
     // shape — what the planner will actually see).
     if !stats.unsat {
@@ -405,6 +462,77 @@ pub(crate) fn analyze(
         var_rep,
         drop_edges,
         universal,
+        contractions,
+    }
+}
+
+/// Finds the degree-2 contractions over the surviving atoms (see the
+/// module docs). One pass in variable order is the fixpoint: contracting
+/// `z` hands its neighbours the same in- and out-degrees, and a variable
+/// that could not contract before cannot afterwards.
+fn contract(
+    uf: &mut UnionFind,
+    free_edges: &[FreeEdge],
+    drop_edges: &[bool],
+    frozen: &[bool],
+) -> Vec<Contraction> {
+    let mut kept = vec![false; frozen.len()];
+    for (v, &f) in frozen.iter().enumerate() {
+        kept[uf.find(v)] |= f;
+    }
+    let mut atoms: Vec<Option<(usize, usize)>> = free_edges
+        .iter()
+        .zip(drop_edges)
+        .map(|(e, &dropped)| (!dropped).then(|| (uf.find(e.src.index()), uf.find(e.dst.index()))))
+        .collect();
+    let mut out = Vec::new();
+    for (z, &keep) in kept.iter().enumerate() {
+        if keep || uf.find(z) != z {
+            continue;
+        }
+        // The last in-atom and out-atom of `z`, and how many of each.
+        let (mut first, mut second, mut ins, mut outs, mut looped) = (0, 0, 0, 0, false);
+        for (i, a) in atoms.iter().enumerate() {
+            match *a {
+                Some((s, d)) if s == z && d == z => looped = true,
+                Some((_, d)) if d == z => (first, ins) = (i, ins + 1),
+                Some((s, _)) if s == z => (second, outs) = (i, outs + 1),
+                _ => {}
+            }
+        }
+        if looped || ins != 1 || outs != 1 {
+            continue;
+        }
+        let (Some((src, _)), Some((_, dst))) = (atoms[first], atoms[second]) else {
+            unreachable!("both atoms are live");
+        };
+        if src == dst {
+            continue;
+        }
+        atoms[first] = None;
+        atoms[second] = None;
+        atoms.push(Some((src, dst)));
+        out.push(Contraction {
+            var: z,
+            first,
+            second,
+            src,
+            dst,
+        });
+    }
+    out
+}
+
+/// Names atom `i` for a diagnostic: `#i` for a problem atom, the joined
+/// names of its parts for a contracted one.
+fn atom_name(cs: &[Contraction], n: usize, i: usize) -> String {
+    match i.checked_sub(n) {
+        None => format!("#{i}"),
+        Some(k) => format!(
+            "{}·{}",
+            atom_name(cs, n, cs[k].first),
+            atom_name(cs, n, cs[k].second)
+        ),
     }
 }
 
@@ -445,7 +573,7 @@ mod tests {
     fn empty_atom_is_unsat() {
         let db = ab_path();
         let free = vec![edge(&db, 0, 1, "!")];
-        let a = analyze(2, &free, &[], &db, &OPTS);
+        let a = analyze(2, &free, &[], &db, &OPTS, None);
         assert!(a.report.stats.unsat);
         assert!(a.report.diagnostics.has(Lint::EmptyAtom));
     }
@@ -454,12 +582,12 @@ mod tests {
     fn footprint_miss_is_unsat_but_db_dependent() {
         let db = ab_path(); // has a- and b-arcs, no c-arcs
         let free = vec![edge(&db, 0, 1, "a*c")];
-        let a = analyze(2, &free, &[], &db, &OPTS);
+        let a = analyze(2, &free, &[], &db, &OPTS, None);
         assert!(a.report.stats.unsat);
         assert!(a.report.diagnostics.has(Lint::FootprintMiss));
         // An alternation with one supported branch passes.
         let free2 = vec![edge(&db, 0, 1, "c|ab")];
-        let a2 = analyze(2, &free2, &[], &db, &OPTS);
+        let a2 = analyze(2, &free2, &[], &db, &OPTS, None);
         assert!(!a2.report.stats.unsat);
     }
 
@@ -467,7 +595,7 @@ mod tests {
     fn epsilon_atom_unifies_variables() {
         let db = ab_path();
         let free = vec![edge(&db, 0, 1, "_"), edge(&db, 1, 2, "ab")];
-        let a = analyze(3, &free, &[], &db, &OPTS);
+        let a = analyze(3, &free, &[], &db, &OPTS, None);
         assert!(!a.report.stats.unsat);
         assert_eq!(a.report.stats.vars_merged, 1);
         assert_eq!(a.report.stats.atoms_dropped, 1);
@@ -480,7 +608,7 @@ mod tests {
     fn universal_atom_is_flagged_not_dropped() {
         let db = ab_path();
         let free = vec![edge(&db, 0, 1, ".*"), edge(&db, 0, 1, "ab")];
-        let a = analyze(2, &free, &[], &db, &OPTS);
+        let a = analyze(2, &free, &[], &db, &OPTS, None);
         assert_eq!(a.report.stats.universal_atoms, 1);
         assert!(a.universal[0] && !a.universal[1]);
         // The ab-atom is contained in Σ*, so the Σ* atom is also subsumed.
@@ -494,13 +622,13 @@ mod tests {
         let db = ab_path();
         // L(ab) ⊆ L(a(b|c)): the wider second atom is dropped.
         let free = vec![edge(&db, 0, 1, "ab"), edge(&db, 0, 1, "a(b|c)")];
-        let a = analyze(2, &free, &[], &db, &OPTS);
+        let a = analyze(2, &free, &[], &db, &OPTS, None);
         assert!(!a.drop_edges[0]);
         assert!(a.drop_edges[1]);
         assert_eq!(a.report.stats.atoms_dropped, 1);
         // Incomparable languages are both kept, silently.
         let free2 = vec![edge(&db, 0, 1, "ab"), edge(&db, 0, 1, "ba")];
-        let a2 = analyze(2, &free2, &[], &db, &OPTS);
+        let a2 = analyze(2, &free2, &[], &db, &OPTS, None);
         assert!(!a2.drop_edges[0] && !a2.drop_edges[1]);
         assert!(!a2.report.diagnostics.has(Lint::ContainmentCapped));
     }
@@ -509,7 +637,7 @@ mod tests {
     fn duplicated_atom_dropped_once() {
         let db = ab_path();
         let free = vec![edge(&db, 0, 1, "ab"), edge(&db, 0, 1, "ab")];
-        let a = analyze(2, &free, &[], &db, &OPTS);
+        let a = analyze(2, &free, &[], &db, &OPTS, None);
         assert!(!a.drop_edges[0]);
         assert!(a.drop_edges[1]);
     }
@@ -524,7 +652,7 @@ mod tests {
             edge(&db, 0, 1, "ab"),
             edge(&db, 2, 1, "a(b|c)"),
         ];
-        let a = analyze(3, &free, &[], &db, &OPTS);
+        let a = analyze(3, &free, &[], &db, &OPTS, None);
         assert!(a.drop_edges[0], "ε atom dropped");
         assert!(!a.drop_edges[1]);
         assert!(a.drop_edges[2], "wider parallel atom dropped");
@@ -538,7 +666,7 @@ mod tests {
         let tiny = AnalyzeOptions {
             containment_budget: 1,
         };
-        let a = analyze(2, &free, &[], &db, &tiny);
+        let a = analyze(2, &free, &[], &db, &tiny, None);
         assert!(!a.drop_edges[0] && !a.drop_edges[1], "cap must never drop");
         assert_eq!(a.report.stats.containment_capped, 1);
         assert!(a.report.diagnostics.has(Lint::ContainmentCapped));
@@ -555,7 +683,7 @@ mod tests {
             vec![NodeVar(1)],
             SyncSpec::equality_group(Some(dead), 1),
         )];
-        let a = analyze(2, &[], &groups, &db, &OPTS);
+        let a = analyze(2, &[], &groups, &db, &OPTS, None);
         assert!(a.report.stats.unsat);
     }
 
@@ -573,18 +701,48 @@ mod tests {
                 relation: crate::relation::RegularRelation::equality(2),
             },
         )];
-        let a = analyze(4, &[], &groups, &db, &OPTS);
+        let a = analyze(4, &[], &groups, &db, &OPTS, None);
         assert!(a.report.stats.unsat, "no word is in both a+ and b+");
+    }
+
+    #[test]
+    fn contraction_folds_existential_paths() {
+        let db = ab_path();
+        let chain = vec![
+            edge(&db, 0, 1, "a"),
+            edge(&db, 1, 2, "b"),
+            edge(&db, 2, 3, "a"),
+        ];
+        let ends = [true, false, false, true];
+        let a = analyze(4, &chain, &[], &db, &OPTS, Some(&ends));
+        assert_eq!(a.report.stats.vars_contracted, 2);
+        assert!(a.report.diagnostics.has(Lint::ContractedVar));
+        let c = &a.contractions;
+        assert_eq!((c[0].var, c[0].first, c[0].second), (1, 0, 1));
+        // The second contraction joins the first one's atom (#3) with #2.
+        assert_eq!((c[1].var, c[1].first, c[1].second), (2, 3, 2));
+        assert_eq!((c[1].src, c[1].dst), (0, 3));
+        // Without projection nothing contracts.
+        let plain = analyze(4, &chain, &[], &db, &OPTS, None);
+        assert!(plain.contractions.is_empty());
+        // A path back to its start would fold into a self-loop: kept.
+        let back = vec![edge(&db, 0, 1, "a"), edge(&db, 1, 0, "b")];
+        let a = analyze(2, &back, &[], &db, &OPTS, Some(&[true, false]));
+        assert!(a.contractions.is_empty());
+        // Kept variables stay, here `y`.
+        let a = analyze(4, &chain, &[], &db, &OPTS, Some(&[true, true, false, true]));
+        assert_eq!(a.contractions.len(), 1);
+        assert_eq!(a.contractions[0].var, 2);
     }
 
     #[test]
     fn cyclic_pattern_is_reported() {
         let db = ab_path();
         let free = vec![edge(&db, 0, 1, "a"), edge(&db, 1, 0, "b")];
-        let a = analyze(2, &free, &[], &db, &OPTS);
+        let a = analyze(2, &free, &[], &db, &OPTS, None);
         assert!(a.report.diagnostics.has(Lint::CyclicPattern));
         let acyclic = vec![edge(&db, 0, 1, "a"), edge(&db, 1, 2, "b")];
-        let a2 = analyze(3, &acyclic, &[], &db, &OPTS);
+        let a2 = analyze(3, &acyclic, &[], &db, &OPTS, None);
         assert!(!a2.report.diagnostics.has(Lint::CyclicPattern));
     }
 }

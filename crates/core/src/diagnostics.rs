@@ -59,6 +59,10 @@ pub enum Lint {
     /// Some connected component of the constraint graph is cyclic (at
     /// least as many atoms as variables) — the backtracker's worst shape.
     CyclicPattern,
+    /// An existential variable between exactly one in-atom and one
+    /// out-atom was contracted away: the two atoms became one atom over
+    /// the concatenated language.
+    ContractedVar,
     /// Evaluation stopped early because a resource limit tripped (deadline,
     /// fuel, memory, or cancellation); reported answers are a sound partial
     /// under-approximation.
@@ -76,6 +80,7 @@ impl Lint {
             Lint::SubsumedAtom => "subsumed-atom",
             Lint::ContainmentCapped => "containment-capped",
             Lint::CyclicPattern => "cyclic-pattern",
+            Lint::ContractedVar => "contracted-var",
             Lint::ResourceAbort => "resource-abort",
         }
     }

@@ -47,9 +47,34 @@
 //! enumeration. This is what makes existential leaves sound and cheap for
 //! CXRPQ groups: a group variable's domain is already def-language
 //! consistent when the enumerator asks for a single witness.
+//!
+//! **Leaf peel.** Under projection pushdown an *existential leaf* — a
+//! variable that is neither output nor pinned, in no group, and an
+//! endpoint of exactly one remaining edge `(x, M, z)` (or `(z, M, x)`)
+//! with `x ≠ z` — only asks whether *some* partner exists. [`Domains::peel`]
+//! answers that for all of `dom(x)` at once with one set-level product
+//! sweep, `dom(x) ∩= Pre_M(dom(z))` (or `Post_M(dom(z))`;
+//! [`ReachCache::image`](crate::reach::ReachCache::image)), instead of one
+//! reach row per candidate. The edge is then satisfied by construction:
+//! the semi-join passes skip it and the enumerator starts with it done.
+//! Peeling repeats, so whole existential trees peel from the leaves up.
+//! The solver peels only unpinned runs: in a pinned run (Check) the
+//! semi-join from the pinned singletons is cheaper than a sweep over a
+//! full domain. The analyzer's degree-2 contraction is another matter: it
+//! rewrites Check and Boolean runs too, since they also run under
+//! projection pushdown.
+//!
+//! **Source narrowing.** The first pass over an edge between two full
+//! domains fills a row for every node. For an atom whose words all have
+//! two or more letters most of those rows are empty, so on unpinned runs
+//! [`Domains::narrow_sources`] first keeps only `Pre_M(dom(y))` in
+//! `dom(x)`, by one backward sweep. The rows the pass then fills are the
+//! ones the enumerator reads; one-letter atoms skip this, since their
+//! first fill costs no more than the sweep.
 
 use crate::governor::Governor;
 use crate::pattern::NodeVar;
+use crate::reach::Direction;
 use crate::solve::FreeEdge;
 use cxrpq_graph::{DenseBitSet, GraphDb, NodeId};
 
@@ -72,6 +97,27 @@ pub struct Domains {
     doms: Vec<DenseBitSet>,
     sizes: Vec<usize>,
     universe: usize,
+}
+
+/// What a leaf peel did ([`Domains::peel`]).
+#[derive(Clone, Debug, Default)]
+pub struct Peel {
+    /// Per edge: peeled, so satisfied by every value left in its kept
+    /// endpoint's domain.
+    pub peeled: Vec<bool>,
+    /// Leaf variables peeled.
+    pub vars: usize,
+    /// Whether a neighbour's domain emptied (no solutions).
+    pub emptied: bool,
+}
+
+/// What source narrowing did ([`Domains::narrow_sources`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Narrowed {
+    /// Source domains narrowed by a sweep.
+    pub domains: usize,
+    /// Whether a domain emptied (no solutions).
+    pub emptied: bool,
 }
 
 /// What one pruning run did, for [`PipelineStats`](crate::solve::PipelineStats).
@@ -249,27 +295,135 @@ impl Domains {
         changed
     }
 
+    /// Peels existential leaves bottom-up (see the module docs). A
+    /// variable `v` with `frozen[v]` (an output or a group endpoint) is
+    /// never peeled. A governor trip stops the peel before the interrupted
+    /// sweep touches any domain.
+    pub fn peel(
+        &mut self,
+        db: &GraphDb,
+        edges: &mut [FreeEdge],
+        frozen: &[bool],
+        gov: &Governor,
+    ) -> Peel {
+        let mut degree = vec![0usize; frozen.len()];
+        for e in edges.iter() {
+            degree[e.src.index()] += 1;
+            degree[e.dst.index()] += 1;
+        }
+        let mut out = Peel {
+            peeled: vec![false; edges.len()],
+            ..Peel::default()
+        };
+        let leaf = |v: usize, degree: &[usize]| degree[v] == 1 && !frozen[v];
+        let mut stack: Vec<usize> = (0..frozen.len())
+            .rev()
+            .filter(|&v| leaf(v, &degree))
+            .collect();
+        while let Some(z) = stack.pop() {
+            if !leaf(z, &degree) {
+                continue; // its one edge was peeled from the other side
+            }
+            let i = (0..edges.len())
+                .find(|&i| {
+                    !out.peeled[i] && (edges[i].src.index() == z || edges[i].dst.index() == z)
+                })
+                .expect("a leaf has one remaining edge");
+            // `z` as the source keeps the targets `Post_M(dom(z))` for `x`.
+            let (x, dir) = if edges[i].src.index() == z {
+                (edges[i].dst, Direction::Forward)
+            } else {
+                (edges[i].src, Direction::Backward)
+            };
+            let Some(image) = edges[i].cache.image(db, &self.doms[z], dir) else {
+                break; // tripped: the domains stay as they were
+            };
+            gov.charge_mem(self.universe.div_ceil(8));
+            let d = &mut self.doms[x.index()];
+            d.intersect_with(&image);
+            self.sizes[x.index()] = d.count();
+            out.peeled[i] = true;
+            out.vars += 1;
+            degree[z] -= 1;
+            degree[x.index()] -= 1;
+            if self.sizes[x.index()] == 0 {
+                out.emptied = true;
+                break;
+            }
+            if leaf(x.index(), &degree) {
+                stack.push(x.index());
+            }
+        }
+        out
+    }
+
+    /// Narrows the source domain of every edge not flagged in `skip` that
+    /// runs between two full domains and whose words all have two or more
+    /// letters: `dom(src) ∩= Pre_M(dom(dst))` by one set sweep, so the
+    /// first semi-join pass fills rows only for sources that reach
+    /// something. A governor trip stops before the interrupted sweep
+    /// touches any domain.
+    pub fn narrow_sources(
+        &mut self,
+        db: &GraphDb,
+        edges: &mut [FreeEdge],
+        skip: &[bool],
+        gov: &Governor,
+    ) -> Narrowed {
+        let mut out = Narrowed::default();
+        for (i, e) in edges.iter_mut().enumerate() {
+            let (s, d) = (e.src.index(), e.dst.index());
+            if skip.get(i).copied().unwrap_or(false)
+                || s == d
+                || self.sizes[s] != self.universe
+                || self.sizes[d] != self.universe
+                || !crate::plan::multi_step(e.cache.nfa())
+            {
+                continue;
+            }
+            let Some(image) = e.cache.image(db, &self.doms[d], Direction::Backward) else {
+                break;
+            };
+            gov.charge_mem(self.universe.div_ceil(8));
+            self.doms[s].intersect_with(&image);
+            self.sizes[s] = self.doms[s].count();
+            out.domains += 1;
+            if self.sizes[s] == 0 {
+                out.emptied = true;
+                break;
+            }
+        }
+        out
+    }
+
     /// Runs semi-join passes to a fixpoint or `max_rounds`, cheapest edge
     /// first when per-edge `costs` (index-aligned with `edges`, which may
     /// include synthesized group-walker edges beyond the plan's real ones)
-    /// are given. Domains of variables in no free edge are untouched.
-    /// `per_source` is the caller's adaptive-probe verdict
-    /// ([`probe_long_diameter`]) routing the fills.
+    /// are given. Edges flagged in `skip` (a [`Peel`]'s `peeled`, possibly
+    /// shorter than `edges`) are left out. Domains of variables in no
+    /// visited edge are untouched. `per_source` is the caller's
+    /// adaptive-probe verdict ([`probe_long_diameter`]) routing the fills.
+    #[allow(clippy::too_many_arguments)]
     pub fn prune(
         &mut self,
         db: &GraphDb,
         edges: &mut [FreeEdge],
         costs: Option<&[u64]>,
+        skip: &[bool],
         max_rounds: usize,
         per_source: bool,
         gov: &Governor,
     ) -> PruneOutcome {
-        let mut out = PruneOutcome::default();
-        if edges.is_empty() || max_rounds == 0 {
+        let mut out = PruneOutcome {
+            per_source_sweeps: per_source,
+            ..PruneOutcome::default()
+        };
+        let mut order: Vec<usize> = (0..edges.len())
+            .filter(|&i| !skip.get(i).copied().unwrap_or(false))
+            .collect();
+        if order.is_empty() || max_rounds == 0 {
             return out;
         }
-        out.per_source_sweeps = per_source;
-        let mut order: Vec<usize> = (0..edges.len()).collect();
         if let Some(c) = costs {
             debug_assert_eq!(c.len(), edges.len());
             order.sort_by_key(|&i| (c[i], i));
@@ -280,9 +434,9 @@ impl Domains {
             }
             out.rounds += 1;
             let changed = self.pass(db, edges, &order, out.per_source_sweeps, gov);
-            let emptied = edges
-                .iter()
-                .any(|e| self.sizes[e.src.index()] == 0 || self.sizes[e.dst.index()] == 0);
+            let emptied = order.iter().any(|&i| {
+                self.sizes[edges[i].src.index()] == 0 || self.sizes[edges[i].dst.index()] == 0
+            });
             if emptied {
                 out.emptied = true;
                 return out;
@@ -329,7 +483,7 @@ mod tests {
         // x -ab-> y: only x = n0 (reads ab to n2), only y = n2.
         let mut edges = vec![edge(&db, 0, 1, "ab")];
         let mut doms = Domains::full(2, db.node_count());
-        let out = doms.prune(&db, &mut edges, None, 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
         assert!(!out.emptied);
         assert_eq!(doms.members(NodeVar(0)), vec![nodes[0]]);
         assert_eq!(doms.members(NodeVar(1)), vec![nodes[2]]);
@@ -344,7 +498,7 @@ mod tests {
         // forces x = n1 and z = n3.
         let mut edges = vec![edge(&db, 0, 1, "a"), edge(&db, 1, 2, "b")];
         let mut doms = Domains::full(3, db.node_count());
-        let out = doms.prune(&db, &mut edges, None, 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
         assert!(!out.emptied);
         assert!(out.rounds >= 2);
         assert_eq!(doms.members(NodeVar(0)), vec![nodes[1]]);
@@ -357,7 +511,7 @@ mod tests {
         let (db, _) = line_db("ab");
         let mut edges = vec![edge(&db, 0, 1, "cc")];
         let mut doms = Domains::full(2, db.node_count());
-        let out = doms.prune(&db, &mut edges, None, 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
         assert!(out.emptied);
     }
 
@@ -368,7 +522,7 @@ mod tests {
         let mut doms = Domains::full(2, db.node_count());
         doms.pin(NodeVar(0), nodes[0]);
         doms.pin(NodeVar(1), nodes[3]);
-        let out = doms.prune(&db, &mut edges, None, 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
         assert!(!out.emptied);
         assert_eq!(out.rounds, 1, "a kept pair changes nothing");
         // Decided as a pair (memoized), not by filling n0's closure.
@@ -383,9 +537,78 @@ mod tests {
         let mut doms = Domains::full(2, db.node_count());
         doms.pin(NodeVar(0), nodes[1]);
         doms.pin(NodeVar(1), nodes[3]);
-        let out = doms.prune(&db, &mut edges, None, 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
         assert!(out.emptied);
         assert_eq!((doms.size(NodeVar(0)), doms.size(NodeVar(1))), (0, 0));
+    }
+
+    #[test]
+    fn peel_discharges_existential_trees_bottom_up() {
+        let (db, nodes) = line_db("abc");
+        let frozen = [true, false, false];
+        let off = Governor::disabled();
+        // Star around the output x: x -b-> y and z -a-> x.
+        let mut star = vec![edge(&db, 0, 1, "b"), edge(&db, 2, 0, "a")];
+        let mut doms = Domains::full(3, db.node_count());
+        let out = doms.peel(&db, &mut star, &frozen, off);
+        assert_eq!(
+            (out.peeled, out.vars, out.emptied),
+            (vec![true, true], 2, false)
+        );
+        assert_eq!(doms.members(NodeVar(0)), vec![nodes[1]]);
+        // Chain x -a-> y -b-> z with output x: z peels into y, then y into x.
+        let mut chain = vec![edge(&db, 0, 1, "a"), edge(&db, 1, 2, "b")];
+        let mut doms = Domains::full(3, db.node_count());
+        let out = doms.peel(&db, &mut chain, &frozen, off);
+        assert_eq!(out.vars, 2);
+        assert_eq!(doms.members(NodeVar(1)), vec![nodes[1]]);
+        assert_eq!(doms.members(NodeVar(0)), vec![nodes[0]]);
+        // The semi-join passes skip the peeled edges.
+        let pruned = doms.prune(&db, &mut chain, None, &out.peeled, 8, false, off);
+        assert_eq!(pruned.rounds, 0);
+    }
+
+    #[test]
+    fn peel_keeps_frozen_variables_and_reports_emptied() {
+        let (db, _) = line_db("abc");
+        let mut edges = vec![edge(&db, 0, 1, "a")];
+        let mut doms = Domains::full(2, db.node_count());
+        let out = doms.peel(&db, &mut edges, &[true, true], Governor::disabled());
+        assert_eq!((out.peeled, out.vars), (vec![false], 0));
+        let mut dead = vec![edge(&db, 0, 1, "cc")];
+        let mut doms = Domains::full(2, db.node_count());
+        let out = doms.peel(&db, &mut dead, &[true, false], Governor::disabled());
+        assert!(out.emptied);
+        assert_eq!(doms.size(NodeVar(0)), 0);
+    }
+
+    #[test]
+    fn narrowing_keeps_sources_that_reach_a_target() {
+        let (db, nodes) = line_db(&"abcab".repeat(20));
+        let off = Governor::disabled();
+        // ab is multi-step: only the nodes before each ab start an ab path.
+        let mut edges = vec![edge(&db, 0, 1, "ab"), edge(&db, 1, 2, "c")];
+        let mut doms = Domains::full(3, db.node_count());
+        let out = doms.narrow_sources(&db, &mut edges, &[], off);
+        assert_eq!((out.domains, out.emptied), (1, false));
+        let starts: Vec<NodeId> = (0..20)
+            .flat_map(|k| [nodes[5 * k], nodes[5 * k + 3]])
+            .collect();
+        assert_eq!(doms.members(NodeVar(0)), starts);
+        // The one-letter atom and the touched domain are left alone.
+        assert_eq!(doms.size(NodeVar(1)), db.node_count());
+        let mut dead = vec![edge(&db, 0, 1, "cc")];
+        let mut doms = Domains::full(2, db.node_count());
+        assert!(
+            doms.narrow_sources(&db, &mut dead, &[], off).emptied,
+            "no cc path"
+        );
+        // Narrowing is the same on a graph of a few nodes.
+        let (db, nodes) = line_db("cab");
+        let mut edges = vec![edge(&db, 0, 1, "ab")];
+        let mut doms = Domains::full(2, db.node_count());
+        assert_eq!(doms.narrow_sources(&db, &mut edges, &[], off).domains, 1);
+        assert_eq!(doms.members(NodeVar(0)), vec![nodes[1]]);
     }
 
     #[test]
@@ -410,13 +633,13 @@ mod tests {
         let db = b.freeze();
         let mut edges = vec![edge(&db, 0, 0, "aa")];
         let mut doms = Domains::full(1, db.node_count());
-        let out = doms.prune(&db, &mut edges, None, 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
         assert!(!out.emptied);
         assert_eq!(doms.members(NodeVar(0)), vec![n0, n1]);
 
         let mut edges2 = vec![edge(&db, 0, 0, "ab")];
         let mut doms2 = Domains::full(1, db.node_count());
-        let out2 = doms2.prune(&db, &mut edges2, None, 8, false, Governor::disabled());
+        let out2 = doms2.prune(&db, &mut edges2, None, &[], 8, false, Governor::disabled());
         assert!(out2.emptied);
     }
 

@@ -43,6 +43,12 @@
 //! a state (a word of `L(M)` splits there) or one side runs dry. Its
 //! [`ReachStats`] count is the number of nodes expanded, not product
 //! cells.
+//!
+//! **Set image** ([`ReachCache::image`]): `Pre_M(S)` or `Post_M(S)` for a
+//! whole node set `S` — the question an existential leaf asks of its
+//! neighbour. One sweep seeds every member of `S` with the start set and
+//! walks the same [`MaskSim`] masks as the pinned-pair search, dense per
+//! node but cleared along a touched list, so no per-member row is filled.
 
 use crate::frontier::{expand_sharded_governed, FrontierConfig};
 use crate::governor::Governor;
@@ -799,6 +805,111 @@ fn pair_search<'t>(
     }
 }
 
+/// Per-node state masks for [`ReachCache::image`]: `2 · words` words per
+/// node (the ε-closed states reached, then those not yet expanded), grown
+/// once to the database and cleared node by node along the touched list,
+/// so a sweep costs memory traffic proportional to the region it explored.
+#[derive(Default)]
+struct SetSweep {
+    masks: Vec<u64>,
+    /// Nodes whose masks went nonzero, in discovery order.
+    touched: Vec<u32>,
+    /// Nodes with pending states, first in first out from `head`.
+    queue: Vec<u32>,
+}
+
+impl SetSweep {
+    /// ORs the closed state set `bits` into `node`'s mask, queueing the
+    /// node when it gains states and had none pending.
+    fn add(&mut self, node: u32, bits: &[u64]) {
+        let w = bits.len();
+        let (seen, pending) = self.masks[node as usize * 2 * w..][..2 * w].split_at_mut(w);
+        let (mut grew, mut idle, mut fresh_node) = (false, true, true);
+        for (i, &b) in bits.iter().enumerate() {
+            fresh_node &= seen[i] == 0;
+            idle &= pending[i] == 0;
+            let fresh = b & !seen[i];
+            if fresh != 0 {
+                grew = true;
+                seen[i] |= fresh;
+                pending[i] |= fresh;
+            }
+        }
+        if grew && fresh_node {
+            self.touched.push(node);
+        }
+        if grew && idle {
+            self.queue.push(node);
+        }
+    }
+
+    /// One multi-source product sweep: every node of `seeds` starts in
+    /// the ε-closed start set of `sim`, and the walk follows out-arcs
+    /// (`forward`) or in-arcs. Returns the nodes reached in a final state,
+    /// or `None` when the governor tripped. Leaves the masks all-clear.
+    fn run(
+        &mut self,
+        db: &GraphDb,
+        sim: &MaskSim,
+        seeds: impl Iterator<Item = NodeId>,
+        forward: bool,
+        stats: &ReachStats,
+        gov: &Governor,
+    ) -> Option<DenseBitSet> {
+        let w = sim.words();
+        let cells = db.node_count() * 2 * w;
+        if self.masks.len() < cells {
+            gov.charge_mem((cells - self.masks.len()) * 8);
+            self.masks.resize(cells, 0);
+        }
+        for s in seeds {
+            self.add(s.0, sim.start_mask());
+        }
+        let (mut delta, mut step) = (vec![0u64; w], vec![0u64; w]);
+        let mut head = 0;
+        let mut complete = true;
+        while head < self.queue.len() {
+            if !gov.checkpoint() {
+                complete = false;
+                break;
+            }
+            stats.bump(1);
+            let node = self.queue[head];
+            head += 1;
+            let pending = &mut self.masks[node as usize * 2 * w + w..][..w];
+            delta.copy_from_slice(pending);
+            pending.fill(0);
+            let runs = if forward {
+                db.out_label_runs(NodeId(node))
+            } else {
+                db.in_label_runs(NodeId(node))
+            };
+            for (a, run) in runs {
+                step.fill(0);
+                if !sim.step_into(&delta, a, &mut step) {
+                    continue;
+                }
+                for (_, next) in run {
+                    self.add(next.0, &step);
+                }
+            }
+        }
+        let mut out = complete.then(|| DenseBitSet::new(db.node_count()));
+        for &node in &self.touched {
+            let row = &mut self.masks[node as usize * 2 * w..][..2 * w];
+            if let Some(out) = &mut out {
+                if sim.any_final(&row[..w]) {
+                    out.insert(node as usize);
+                }
+            }
+            row.fill(0);
+        }
+        self.touched.clear();
+        self.queue.clear();
+        out
+    }
+}
+
 /// Memoizing wrapper around [`reach_set`] for repeated queries against the
 /// same database (one cache per `(edge automaton, direction)`).
 ///
@@ -842,6 +953,7 @@ pub struct ReachCache {
     /// each built the first time a search needs it.
     pair_fwd: Option<MaskSim>,
     pair_bwd: Option<MaskSim>,
+    sweep: SetSweep,
     scratch: ReachScratch,
     wave: WaveScratch,
     gov: Option<Arc<Governor>>,
@@ -878,6 +990,7 @@ impl ReachCache {
             pairs: HashMap::new(),
             pair_fwd: None,
             pair_bwd: None,
+            sweep: SetSweep::default(),
             scratch: ReachScratch::default(),
             wave: WaveScratch::default(),
             gov: None,
@@ -1184,6 +1297,39 @@ impl ReachCache {
         hit
     }
 
+    /// The image of a node set under the automaton's relation `R_M`, by one
+    /// multi-source product sweep: `Post_M(set)`, the nodes some member
+    /// reaches by an accepted word (`Forward`), or `Pre_M(set)`, the nodes
+    /// that reach some member (`Backward`, over the reversed automaton).
+    /// It runs on the [`MaskSim`] tables of the pinned-pair search, one bit
+    /// per `(node, state)`, and costs `O((|V| + |E|) · |Q|)` at most where
+    /// one fill per member would cost that per member.
+    ///
+    /// Nothing is memoized. The search checkpoints once per expanded node
+    /// and bumps [`ReachStats`] by one per node; a governor trip returns
+    /// `None`.
+    pub fn image(
+        &mut self,
+        db: &GraphDb,
+        set: &DenseBitSet,
+        dir: Direction,
+    ) -> Option<DenseBitSet> {
+        let nfa = &self.nfa;
+        let sim = match dir {
+            Direction::Forward => &*self.pair_fwd.get_or_insert_with(|| MaskSim::new(nfa)),
+            Direction::Backward => {
+                let rev = &self.rev;
+                &*self
+                    .pair_bwd
+                    .get_or_insert_with(|| MaskSim::new(rev.get_or_init(|| reverse_nfa(nfa))))
+            }
+        };
+        let gov = self.gov.as_deref().unwrap_or(Governor::disabled());
+        let seeds = set.ones().map(|i| NodeId(i as u32));
+        self.sweep
+            .run(db, sim, seeds, dir == Direction::Forward, &self.stats, gov)
+    }
+
     /// Whether some path `u →* v` is labelled by an accepted word.
     ///
     /// A memoized fill of either endpoint or a pinned-pair verdict of
@@ -1375,6 +1521,70 @@ mod tests {
             &FrontierConfig::serial(),
         );
         assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn image_is_the_union_of_rows() {
+        // A line with a back arc, so the sweeps revisit nodes with new states.
+        let alpha = Arc::new(Alphabet::from_chars("abc"));
+        let mut b = GraphBuilder::new(alpha);
+        let w = b.alphabet().parse_word("aabbaacab").unwrap();
+        let nodes: Vec<NodeId> = (0..=w.len()).map(|_| b.add_node()).collect();
+        for (i, &s) in w.iter().enumerate() {
+            b.add_edge(nodes[i], s, nodes[i + 1]);
+        }
+        let c = b.alphabet().sym("c");
+        b.add_edge(nodes[7], c, nodes[2]);
+        let db = b.freeze();
+        let subsets: [&[usize]; 3] = [&[], &[0, 3], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]];
+        for pat in ["a*", "a*b", "(a|b)*c", "..", "_", "c(a|b)*"] {
+            let m = nfa_of(&db, pat);
+            let mut cache = ReachCache::new(m.clone());
+            for members in subsets {
+                let mut set = DenseBitSet::new(db.node_count());
+                for &i in members {
+                    set.insert(i);
+                }
+                for dir in [Direction::Forward, Direction::Backward] {
+                    let nfa = match dir {
+                        Direction::Forward => m.clone(),
+                        Direction::Backward => reverse_nfa(&m),
+                    };
+                    let mut want: Vec<usize> = members
+                        .iter()
+                        .flat_map(|&i| reach_set(&db, &nfa, nodes[i], dir, None))
+                        .map(NodeId::index)
+                        .collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    let got = cache.image(&db, &set, dir).expect("ungoverned");
+                    let got: Vec<usize> = got.ones().collect();
+                    assert_eq!(got, want, "{pat} {members:?} {dir:?}");
+                }
+            }
+            assert!(
+                cache.fwd.is_empty() && cache.bwd.is_empty() && cache.pairs.is_empty(),
+                "an image memoizes nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn tripped_image_returns_none_and_leaves_the_scratch_clear() {
+        let (db, _) = line_db("aabbaacab");
+        let mut cache = ReachCache::new(nfa_of(&db, "(a|b)*c"));
+        let all = DenseBitSet::full(db.node_count());
+        let want = cache.image(&db, &all, Direction::Backward).unwrap();
+        let gov = Arc::new(Governor::unlimited().with_injection(3));
+        cache.govern(Some(gov.clone()));
+        assert!(cache.image(&db, &all, Direction::Backward).is_none());
+        assert!(gov.is_aborted());
+        cache.govern(None);
+        let again = cache.image(&db, &all, Direction::Backward).unwrap();
+        assert_eq!(
+            again.ones().collect::<Vec<_>>(),
+            want.ones().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -28,6 +28,11 @@
 //!    pruning-only edge per selective group walker (def-language
 //!    reachability for equality groups), joined into the same fixpoint and
 //!    dropped before enumeration.
+//!    On unpinned runs under projection pushdown with the analyzer on,
+//!    existential leaves are peeled first, one set sweep each
+//!    ([`Domains::peel`]), and their edges start enumeration done; the
+//!    analyzer has already contracted degree-2 existential variables into
+//!    concatenated atoms in phase 0.
 //! 3. **Enumerate** — backtrack over the pruned domains in plan order,
 //!    checking fully bound constraints eagerly and extending along the
 //!    cheapest half-bound constraint; early-exit semantics (`on_solution`
@@ -74,7 +79,7 @@
 //! *required* variables are bound; existential variables may be `None`
 //! (they are restored by the witness sub-search on its way out).
 
-use crate::domains::Domains;
+use crate::domains::{Domains, Narrowed, Peel};
 use crate::evaluate::{Answer, Outcome, Request};
 use crate::governor::Governor;
 use crate::pattern::NodeVar;
@@ -82,6 +87,7 @@ use crate::plan::{single_step_symbols, SolvePlan};
 use crate::reach::{ReachCache, ReachStats};
 use crate::sync::{sync_sources_governed, sync_targets_governed, SyncSearch, SyncSpec};
 use crate::witness::{pin_tuple, QueryWitness};
+use cxrpq_automata::Nfa;
 use cxrpq_graph::{DenseBitSet, EdgeRun, GraphDb, NodeId, Symbol};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
@@ -337,6 +343,16 @@ pub struct PipelineStats {
     pub domain_before: Vec<usize>,
     /// Domain size per node variable after pruning.
     pub domain_after: Vec<usize>,
+    /// Existential leaf variables peeled in phase 2: each leaf's edge was
+    /// discharged by one set-level sweep into its neighbour's domain
+    /// ([`Domains::peel`]) and never enumerated (0 without projection
+    /// pushdown or analysis).
+    pub peeled_vars: usize,
+    /// Source domains narrowed in phase 2, before the first semi-join
+    /// pass, by one backward sweep of a multi-letter atom
+    /// ([`Domains::narrow_sources`]; 0 whenever `peeled_vars` is 0 for
+    /// want of the analyzer, projection pushdown or an unpinned run).
+    pub narrowed_vars: usize,
     /// Variables in the plan's existential suffix, eliminated by
     /// projection pushdown instead of being backtracked over (0 when
     /// [`SolveOptions::project`] is off; the whole variable order for
@@ -380,6 +396,19 @@ impl PipelineStats {
     pub fn total_after(&self) -> usize {
         self.domain_after.iter().sum()
     }
+}
+
+/// What phase 0 (the analyzer) hands phases 1–3; the default when no
+/// analysis ran.
+#[derive(Clone, Copy, Default)]
+struct PhaseZero<'a> {
+    /// Σ*-universal free edges, which the planner orders last.
+    universal: &'a [bool],
+    /// Under projection pushdown, the variables elimination keeps
+    /// (outputs, pinned variables and group endpoints, on the rewritten
+    /// problem's representatives); an unpinned run peels every other
+    /// leaf before the semi-join passes.
+    frozen: Option<&'a [bool]>,
 }
 
 /// The constraint-solving problem.
@@ -754,11 +783,14 @@ impl Problem {
     /// (empty-language atom, footprint miss, conflicting pins on unified
     /// variables) returns `false` with no search at all; ε-only atoms
     /// unify their endpoint variables; subsumed parallel atoms are
-    /// dropped. The rewrite is applied for the duration of this call only
-    /// — the problem's constraints are restored on the way out, so
-    /// repeated `solve_with` calls observe the original query, and
-    /// `on_solution` still sees every original variable bound (merged-away
-    /// variables inherit their representative's image).
+    /// dropped; under [`SolveOptions::project`] existential degree-2
+    /// variables are contracted away. The rewrite is applied for the
+    /// duration of this call only — the problem's constraints are restored
+    /// on the way out, so repeated `solve_with` calls observe the original
+    /// query. Merged-away variables inherit their representative's image in
+    /// what `on_solution` sees; contracted variables, like eliminated and
+    /// peeled ones, stay `None` (only `required` variables are always
+    /// bound).
     pub fn solve_with(
         &mut self,
         db: &GraphDb,
@@ -774,15 +806,37 @@ impl Problem {
             return false;
         }
         if !opts.analyze {
-            return self.solve_core(db, pinned, required, opts, &[], on_solution);
+            return self.solve_core(
+                db,
+                pinned,
+                required,
+                opts,
+                PhaseZero::default(),
+                on_solution,
+            );
         }
 
-        // Phase 0: static analysis.
+        // Phase 0: static analysis. Under projection pushdown the outputs,
+        // the pinned variables and the group endpoints are kept; the
+        // analyzer contracts other degree-2 variables and phase 2 peels
+        // other leaves.
+        let frozen: Option<Vec<bool>> = opts.project.then(|| {
+            let mut frozen = vec![false; self.node_count];
+            let group_vars = self
+                .groups
+                .iter()
+                .flat_map(|g| g.srcs.iter().chain(&g.dsts));
+            for v in required.iter().chain(pinned.keys()).chain(group_vars) {
+                frozen[v.index()] = true;
+            }
+            frozen
+        });
         let crate::analyze::Analysis {
             mut report,
             var_rep,
             drop_edges,
             universal,
+            contractions,
         } = crate::analyze::analyze(
             self.node_count,
             &self.free_edges,
@@ -791,6 +845,7 @@ impl Problem {
             &crate::analyze::AnalyzeOptions {
                 containment_budget: opts.containment_budget,
             },
+            frozen.as_deref(),
         );
 
         // Pins on ε-unified variables must agree on one image; a conflict
@@ -812,23 +867,33 @@ impl Problem {
             return false;
         }
 
-        // Apply the rewrite: park dropped atoms, remap surviving endpoints
-        // onto their union-find representatives, and remember enough to
-        // restore the original query afterwards.
+        // Apply the rewrite: build the contracted atoms, park dropped and
+        // contracted atoms, remap surviving endpoints onto their
+        // union-find representatives, and remember enough to restore the
+        // original query afterwards.
         let merged: Vec<(usize, usize)> = (0..self.node_count)
             .map(|v| (v, var_rep[v]))
             .filter(|&(v, r)| v != r)
             .collect();
+        let contracted = self.contracted_edges(&contractions);
+        let mut park = drop_edges;
+        for c in &contractions {
+            for i in [c.first, c.second] {
+                if let Some(p) = park.get_mut(i) {
+                    *p = true;
+                }
+            }
+        }
         let mut parked: Vec<(usize, FreeEdge)> = Vec::new();
-        for i in (0..drop_edges.len()).rev() {
-            if drop_edges[i] {
+        for i in (0..park.len()).rev() {
+            if park[i] {
                 parked.push((i, self.free_edges.remove(i)));
             }
         }
-        let universal_kept: Vec<bool> = universal
+        let mut universal_kept: Vec<bool> = universal
             .iter()
             .enumerate()
-            .filter(|&(i, _)| !drop_edges[i])
+            .filter(|&(i, _)| !park[i])
             .map(|(_, &u)| u)
             .collect();
         let mut saved_edge_ends: Vec<(NodeVar, NodeVar)> = Vec::new();
@@ -853,9 +918,24 @@ impl Problem {
                 .collect();
             required_eff = &required_rep;
         }
+        let kept_edges = self.free_edges.len();
+        universal_kept.resize(kept_edges + contracted.len(), false);
+        self.free_edges.extend(contracted);
+        // The kept variables on the rewritten problem's representatives.
+        let frozen_rep: Option<Vec<bool>> = frozen.map(|frozen| {
+            let mut kept = vec![false; self.node_count];
+            for (v, f) in frozen.into_iter().enumerate() {
+                kept[var_rep[v]] |= f;
+            }
+            kept
+        });
+        let phase0 = PhaseZero {
+            universal: &universal_kept,
+            frozen: frozen_rep.as_deref(),
+        };
 
         let result = if merged.is_empty() {
-            self.solve_core(db, pinned, required_eff, opts, &universal_kept, on_solution)
+            self.solve_core(db, pinned, required_eff, opts, phase0, on_solution)
         } else {
             // Merged-away variables inherit their representative's image
             // before the caller observes the solution.
@@ -868,17 +948,14 @@ impl Problem {
                 }
                 on_solution(&buf)
             };
-            self.solve_core(
-                db,
-                &pinned_rep,
-                required_eff,
-                opts,
-                &universal_kept,
-                &mut wrapped,
-            )
+            self.solve_core(db, &pinned_rep, required_eff, opts, phase0, &mut wrapped)
         };
 
-        // Restore the original query shape.
+        // Restore the original query shape; the contracted atoms' search
+        // work stays counted in the problem's statistics.
+        for e in self.free_edges.drain(kept_edges..) {
+            self.stats.bump(e.cache.stats.states());
+        }
         for (e, (s, d)) in self.free_edges.iter_mut().zip(saved_edge_ends) {
             e.src = s;
             e.dst = d;
@@ -905,9 +982,43 @@ impl Problem {
         result
     }
 
-    /// Phases 1–3 (plan / prune / enumerate) over the problem as stored.
-    /// `universal` flags Σ*-universal free edges the planner orders last
-    /// (`&[]` when no analysis ran).
+    /// The atoms the analyzer's degree-2 contractions leave behind, over
+    /// the concatenated automata of their parts (atoms a later
+    /// contraction consumes are not built).
+    fn contracted_edges(&self, contractions: &[crate::analyze::Contraction]) -> Vec<FreeEdge> {
+        let n = self.free_edges.len();
+        let mut nfas: Vec<Nfa> = Vec::with_capacity(contractions.len());
+        for c in contractions {
+            let part = |i: usize| match i.checked_sub(n) {
+                None => self.free_edges[i].cache.nfa(),
+                Some(k) => &nfas[k],
+            };
+            let joined = Nfa::concat(part(c.first), part(c.second));
+            nfas.push(joined);
+        }
+        let mut consumed = vec![false; contractions.len()];
+        for c in contractions {
+            for i in [c.first, c.second] {
+                if let Some(k) = i.checked_sub(n) {
+                    consumed[k] = true;
+                }
+            }
+        }
+        contractions
+            .iter()
+            .zip(nfas)
+            .zip(consumed)
+            .filter(|&(_, used)| !used)
+            .map(|((c, nfa), _)| FreeEdge {
+                src: NodeVar(c.src as u32),
+                dst: NodeVar(c.dst as u32),
+                cache: ReachCache::new(nfa),
+            })
+            .collect()
+    }
+
+    /// Phases 1–3 (plan / prune / enumerate) over the problem as stored,
+    /// with what phase 0 found (the default when no analysis ran).
     ///
     /// The run's governor (if any) is attached to every free-edge cache for
     /// the duration of the call and detached afterwards, so a tripped
@@ -919,13 +1030,13 @@ impl Problem {
         pinned: &HashMap<NodeVar, NodeId>,
         required: &[NodeVar],
         opts: &SolveOptions,
-        universal: &[bool],
+        phase0: PhaseZero<'_>,
         on_solution: &mut dyn FnMut(&[Option<NodeId>]) -> bool,
     ) -> bool {
         for e in &mut self.free_edges {
             e.cache.govern(opts.governor.clone());
         }
-        let r = self.solve_phases(db, pinned, required, opts, universal, on_solution);
+        let r = self.solve_phases(db, pinned, required, opts, phase0, on_solution);
         for e in &mut self.free_edges {
             e.cache.govern(None);
         }
@@ -938,7 +1049,7 @@ impl Problem {
         pinned: &HashMap<NodeVar, NodeId>,
         required: &[NodeVar],
         opts: &SolveOptions,
-        universal: &[bool],
+        phase0: PhaseZero<'_>,
         on_solution: &mut dyn FnMut(&[Option<NodeId>]) -> bool,
     ) -> bool {
         let govh = opts.governor.clone();
@@ -968,7 +1079,7 @@ impl Problem {
                     &self.free_edges,
                     &self.groups,
                     required,
-                    universal,
+                    phase0.universal,
                     db,
                 ),
             }
@@ -1037,6 +1148,8 @@ impl Problem {
             per_source_sweeps,
             domain_before: Vec::new(),
             domain_after: Vec::new(),
+            peeled_vars: 0,
+            narrowed_vars: 0,
             eliminated_vars,
             backtrack_steps: 0,
             leapfrog_components,
@@ -1045,6 +1158,7 @@ impl Problem {
             analysis: None,
             plan_artifact: Some(Arc::new(p.clone())),
         };
+        let mut edge_done = vec![false; self.free_edges.len()];
         let domains = if prune_now {
             gov.charge_mem(self.node_count * db.node_count().div_ceil(8));
             let mut doms = Domains::full(self.node_count, db.node_count());
@@ -1055,6 +1169,31 @@ impl Problem {
             }
             let before = doms.sizes().to_vec();
             let p = plan.as_ref().expect("prune implies plan construction");
+            // Existential leaves first: one set sweep each, and their edges
+            // are done before the semi-join passes and the enumeration. A
+            // pinned run keeps the semi-join from its singletons, which is
+            // cheaper than any sweep over a full domain.
+            let frozen = phase0.frozen.filter(|_| pinned.is_empty());
+            let eliminate = frozen.is_some();
+            let leaves = match frozen {
+                Some(frozen) => doms.peel(db, &mut self.free_edges, frozen, gov),
+                None => Peel::default(),
+            };
+            let narrowed = if eliminate && !leaves.emptied {
+                doms.narrow_sources(db, &mut self.free_edges, &leaves.peeled, gov)
+            } else {
+                Narrowed::default()
+            };
+            if leaves.emptied || narrowed.emptied {
+                self.pipeline = Some(PipelineStats {
+                    domain_before: before,
+                    domain_after: doms.sizes().to_vec(),
+                    peeled_vars: leaves.vars,
+                    narrowed_vars: narrowed.domains,
+                    ..base_stats(p)
+                });
+                return false;
+            }
             // Real edges first (plan costs), then the synthesized group
             // walkers; the fixpoint visits all of them cheapest-first and
             // the synthesized tail is dropped again before enumeration.
@@ -1071,6 +1210,7 @@ impl Problem {
                 db,
                 &mut self.free_edges,
                 Some(&costs),
+                &leaves.peeled,
                 opts.max_prune_rounds,
                 probe,
                 gov,
@@ -1082,10 +1222,15 @@ impl Problem {
                 per_source_sweeps: outcome.per_source_sweeps,
                 domain_before: before,
                 domain_after: doms.sizes().to_vec(),
+                peeled_vars: leaves.vars,
+                narrowed_vars: narrowed.domains,
                 ..base_stats(p)
             });
             if outcome.emptied {
                 return false;
+            }
+            if eliminate {
+                edge_done = leaves.peeled;
             }
             Some(doms)
         } else {
@@ -1109,13 +1254,16 @@ impl Problem {
         let unbound_outputs = (0..self.node_count)
             .filter(|&i| is_output[i] && bindings[i].is_none())
             .count();
-        // Duplicates are impossible when every constrained variable is an
-        // output variable: distinct full assignments then project to
-        // distinct tuples, so the hot loops skip the seen-set.
+        // Duplicates are impossible when every variable the enumeration
+        // binds (those of pending constraints, and outputs) is an output
+        // variable: distinct full assignments then project to distinct
+        // tuples, so the hot loops skip the seen-set.
         let dedup_needed = self
             .free_edges
             .iter()
-            .flat_map(|e| [e.src, e.dst])
+            .zip(&edge_done)
+            .filter(|(_, done)| !**done)
+            .flat_map(|(e, _)| [e.src, e.dst])
             .chain(
                 self.groups
                     .iter()
@@ -1124,7 +1272,7 @@ impl Problem {
             .any(|v| !is_output[v.index()]);
         let mut st = EnumState {
             bindings,
-            edge_done: vec![false; self.free_edges.len()],
+            edge_done,
             group_done: vec![false; self.groups.len()],
             required: required.to_vec(),
             is_output,
@@ -1594,14 +1742,20 @@ impl Problem {
             }
             return false;
         }
-        // All constraints satisfied: bind required-but-unbound variables.
+        // All constraints satisfied: bind required-but-unbound variables
+        // over their domains (a peeled leaf's neighbour keeps its sweep
+        // there).
         let unbound_required = st
             .required
             .iter()
             .find(|v| st.bindings[v.index()].is_none())
             .copied();
         if let Some(var) = unbound_required {
-            for node in db.nodes() {
+            let candidates: Box<dyn Iterator<Item = NodeId> + '_> = match ctx.domains {
+                Some(d) => Box::new(d.iter(var)),
+                None => Box::new(db.nodes()),
+            };
+            for node in candidates {
                 if ctx.gov.is_aborted() {
                     return false;
                 }
@@ -2149,26 +2303,31 @@ mod tests {
             dst: NodeVar(2),
             cache: ReachCache::new(nfa(&db, "b")),
         });
-        let mut found = false;
-        let hit = p.solve_with(
-            &db,
-            &HashMap::new(),
-            &[],
-            &SolveOptions::pipeline().projected(),
-            &mut |_| {
+        // Unanalyzed, the three-variable chain is enumerated as written.
+        let mut run = |opts: SolveOptions| {
+            let mut found = false;
+            let hit = p.solve_with(&db, &HashMap::new(), &[], &opts, &mut |_| {
                 found = true;
                 true
-            },
-        );
-        assert!(hit && found);
-        let stats = p.pipeline.expect("pipeline stats recorded");
-        assert_eq!(
-            stats.backtrack_steps, 0,
-            "arc-consistent satisfiable Boolean must not backtrack"
-        );
-        // Every variable of the order is existential for a Boolean call.
-        assert_eq!(stats.eliminated_vars, stats.var_order.len());
-        assert_eq!(stats.eliminated_vars, 3);
+            });
+            assert!(hit && found);
+            let stats = p.pipeline.take().expect("pipeline stats recorded");
+            assert_eq!(
+                stats.backtrack_steps, 0,
+                "arc-consistent satisfiable Boolean must not backtrack"
+            );
+            // Every variable of the order is existential for a Boolean call.
+            assert_eq!(stats.eliminated_vars, stats.var_order.len());
+            stats
+        };
+        let plain = run(SolveOptions::pipeline().projected().unanalyzed());
+        assert_eq!(plain.eliminated_vars, 3);
+        // Analyzed, `y` contracts into one `ab` atom and `x` peels into `z`.
+        let analyzed = run(SolveOptions::pipeline().projected());
+        let report = analyzed.analysis.expect("analysis ran");
+        assert_eq!(report.stats.vars_contracted, 1);
+        assert_eq!(analyzed.eliminated_vars, 2);
+        assert_eq!(analyzed.peeled_vars, 1);
     }
 
     #[test]
