@@ -1,11 +1,11 @@
 //! E17: batched multi-source + parallel frontier product reachability.
 //!
-//! Two questions, on the four e16 shapes (line, grid, random, label-dense)
-//! plus one deliberately large random shape:
+//! Two questions, on four shapes (line, grid, random, label-dense — those
+//! of `BENCH_reach.json`) plus one deliberately large random shape:
 //!
 //! 1. **Batching** — a candidate sweep over `k` sources of one automaton:
-//!    `k` independent [`reach_set_scratch`] walks (the per-source path the
-//!    solver used before this bench's PR) vs ONE [`reach_all`] wavefront
+//!    `k` independent [`reach_set_governed`] walks through one reused
+//!    scratch (the per-source path) vs ONE [`reach_all`] wavefront
 //!    with 64-source membership stripes. Both run single-threaded, so the
 //!    ratio isolates the algorithmic batching win.
 //! 2. **Parallel frontiers** — [`reach_all_with`] and the sharded
@@ -15,8 +15,8 @@
 //!
 //! Each measurement is preceded by an equality assertion (batched =
 //! per-source, N-thread = 1-thread), and the single-source `reach_set`
-//! numbers of the e16 shapes are re-recorded as a regression anchor against
-//! `BENCH_reach.json`'s `reach_csr_ms`.
+//! numbers of the four shapes are re-recorded as a regression anchor
+//! against `BENCH_reach.json`'s `reach_csr_ms`.
 //!
 //! Run: `cargo bench -p cxrpq-bench --bench e17_parallel_reach` (add
 //! `-- --fast` for the CI smoke configuration). Full runs record
@@ -24,27 +24,15 @@
 //! enable recording in fast mode) with `BENCH_PARALLEL_OUT`.
 
 use cxrpq_automata::{parse_regex, Nfa};
-use cxrpq_bench::scoped_spawn_sharded;
+use cxrpq_bench::{median_ms, scoped_spawn_sharded};
 use cxrpq_core::frontier::{expand_sharded, FrontierConfig};
-use cxrpq_core::reach::{reach_all_with, reach_set, reach_set_scratch, Direction, ReachScratch};
+use cxrpq_core::reach::{reach_all_with, reach_set, reach_set_governed, Direction, ReachScratch};
 use cxrpq_core::sync::{SyncSearch, SyncSpec};
+use cxrpq_core::Governor;
 use cxrpq_core::WorkerPool;
 use cxrpq_graph::{Alphabet, GraphDb, NodeId, Symbol};
 use cxrpq_workloads::graphs;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn median_ms(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<Duration> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2].as_secs_f64() * 1e3
-}
 
 fn nfa_of(alpha: &Alphabet, pattern: &str) -> Nfa {
     let mut a = alpha.clone();
@@ -83,23 +71,34 @@ fn run_batch_shape(
 
     // Agreement first: the wavefront must reproduce every per-source set.
     let batched = reach_all_with(db, reach_nfa, &sources, Direction::Forward, None, &serial);
+    let gov = Governor::disabled();
     let mut scratch = ReachScratch::default();
     for (i, &u) in sources.iter().enumerate() {
-        let single = reach_set_scratch(db, reach_nfa, u, Direction::Forward, None, &mut scratch);
+        let single = reach_set_governed(
+            db,
+            reach_nfa,
+            u,
+            Direction::Forward,
+            None,
+            &mut scratch,
+            gov,
+        );
         assert_eq!(batched[i], single, "{shape}: source {i} mismatch");
     }
 
     let per_source_ms = median_ms(iters, || {
         let mut scratch = ReachScratch::default();
         for &u in &sources {
-            std::hint::black_box(reach_set_scratch(
+            let row = reach_set_governed(
                 db,
                 reach_nfa,
                 u,
                 Direction::Forward,
                 None,
                 &mut scratch,
-            ));
+                gov,
+            );
+            std::hint::black_box(row);
         }
     });
     let batched_ms = median_ms(iters, || {
@@ -144,7 +143,8 @@ fn main() {
     let threads = FrontierConfig::auto().worker_count();
     let mut results = Vec::new();
 
-    // The four e16 shapes, same constructions, for the batching question.
+    // The four shapes of `BENCH_reach.json`, same constructions, for the
+    // batching question.
     {
         let alpha = Arc::new(Alphabet::from_chars("ab"));
         let n = 1200 / scale;
@@ -365,7 +365,7 @@ fn main() {
         println!("  ===================================================================");
     }
 
-    // JSON record at the workspace root, same conventions as e16.
+    // JSON record at the workspace root.
     let explicit = std::env::var("BENCH_PARALLEL_OUT").ok();
     if fast && explicit.is_none() {
         println!(

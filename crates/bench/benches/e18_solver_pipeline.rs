@@ -1,7 +1,7 @@
 //! E18: the plan/prune/enumerate solver pipeline (with projection
 //! pushdown) vs the naive-order full-enumerate-then-project reference.
 //!
-//! Query shapes over the e16/e17 graph families, all evaluated
+//! Query shapes over the e17 graph families, all evaluated
 //! exhaustively (`answers`) by [`CrpqEvaluator`] under both solver
 //! configurations (the pipeline side runs `.projected()` — the production
 //! default of `answers()`):
@@ -48,23 +48,12 @@
 //! `Aborted` and return a subset of the complete answers, an untripped run
 //! must return them all — the CI guard for the governed abort paths.
 
+use cxrpq_bench::median_ms;
 use cxrpq_core::{Crpq, CrpqEvaluator, Evaluate, Governor, Request, SolveOptions, Strategy};
 use cxrpq_graph::{Alphabet, GraphBuilder, GraphDb, NodeId, Symbol};
 use cxrpq_workloads::graphs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn median_ms(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<Duration> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2].as_secs_f64() * 1e3
-}
 
 /// A random multigraph over `{a, b}` with `edges` arcs plus `rare` arcs
 /// labelled `c` — the label skew the planner's CSR statistics pick up.

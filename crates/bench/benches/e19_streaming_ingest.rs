@@ -1,27 +1,18 @@
 //! E19: streaming ingest over the layered delta-CSR storage.
 //!
-//! Two questions, measured instead of guessed:
+//! **Ingest strategy crossover** — an interleaved insert/query workload
+//! (batches of appended arcs, a fixed query mix after every batch) run
+//! under three maintenance strategies:
+//! - `refreeze`: rebuild the whole CSR from scratch after every batch
+//!   (the only option before the delta overlay);
+//! - `delta`: append into the overlay, queries iterate merged runs;
+//! - `compact`: append into the overlay, then fold touched rows back
+//!   into the base before querying (incremental freeze).
 //!
-//! 1. **Static overhead** — after the merged-iteration refactor, what do
-//!    the e16 reach searches cost on fully-compacted (delta-free) graphs?
-//!    The same four shapes as `e16_reach_csr` are rebuilt and re-timed;
-//!    against the committed `BENCH_reach.json` the ratio must stay within
-//!    a few percent of the pre-refactor slice path (the acceptance bar for
-//!    the layered-storage PR is ~5%).
-//!
-//! 2. **Ingest strategy crossover** — an interleaved insert/query workload
-//!    (batches of appended arcs, a fixed query mix after every batch) run
-//!    under three maintenance strategies:
-//!    - `refreeze`: rebuild the whole CSR from scratch after every batch
-//!      (the only option before this PR);
-//!    - `delta`: append into the overlay, queries iterate merged runs;
-//!    - `compact`: append into the overlay, then fold touched rows back
-//!      into the base before querying (incremental freeze).
-//!
-//!    The workload runs over a growing random multigraph at several delta
-//!    sizes (small overlays favour `delta`; large overlays amortize the
-//!    row merges) plus streaming variants of the e16 line and grid shapes.
-//!    All three strategies must produce identical answer sets.
+//! The workload runs over a growing random multigraph at several delta
+//! sizes (small overlays favour `delta`; large overlays amortize the row
+//! merges) plus streaming line and grid shapes. All three strategies must
+//! produce identical answer sets.
 //!
 //! Run: `cargo bench -p cxrpq-bench --bench e19_streaming_ingest` (add
 //! `-- --fast` for the CI smoke configuration). Full runs record
@@ -29,24 +20,12 @@
 //! enable recording in fast mode) with `BENCH_STREAMING_OUT`.
 
 use cxrpq_automata::{parse_regex, Nfa};
-use cxrpq_core::reach::{reach_set, Direction};
+use cxrpq_bench::median_ms;
+use cxrpq_core::reach::{reach_set, Direction, ReachRow};
 use cxrpq_graph::{Alphabet, GraphBuilder, GraphDb, NodeId, Symbol};
 use cxrpq_workloads::graphs;
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn median_ms(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<Duration> = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2].as_secs_f64() * 1e3
-}
 
 fn nfa_of(alpha: &Alphabet, pattern: &str) -> Nfa {
     let mut a = alpha.clone();
@@ -65,108 +44,6 @@ impl Mix {
         (z ^ (z >> 31)) as usize
     }
 }
-
-// ---------------------------------------------------------------------
-// Part 1: static overhead on the e16 shapes.
-// ---------------------------------------------------------------------
-
-struct StaticResult {
-    shape: &'static str,
-    nodes: usize,
-    edges: usize,
-    reach_ms: f64,
-    /// `reach_csr_ms` of the committed pre-refactor record, if available.
-    baseline_ms: Option<f64>,
-}
-
-impl StaticResult {
-    fn overhead(&self) -> Option<f64> {
-        self.baseline_ms.map(|b| self.reach_ms / b)
-    }
-}
-
-/// Minimal extraction of `"reach_csr_ms"` for one shape from the committed
-/// `BENCH_reach.json` (hand-rolled like the writers; no JSON dependency).
-fn baseline_reach_ms(record: Option<&str>, shape: &str) -> Option<f64> {
-    let text = record?;
-    let line = text
-        .lines()
-        .find(|l| l.contains(&format!("\"shape\": \"{shape}\"")))?;
-    let key = "\"reach_csr_ms\": ";
-    let at = line.find(key)? + key.len();
-    line[at..].split([',', '}']).next()?.trim().parse().ok()
-}
-
-fn static_shapes(iters: usize, scale: usize, record: Option<&str>) -> Vec<StaticResult> {
-    let mut out = Vec::new();
-    let mut push = |shape: &'static str, db: &GraphDb, nfa: &Nfa, from: NodeId| {
-        assert!(db.is_compacted(), "{shape}: static shapes carry no overlay");
-        // Warm up before timing — the e16 record was taken on a hot cache
-        // (its CSR pass runs after the legacy baseline), so a cold first
-        // pass here would overstate the merged-iteration overhead.
-        for _ in 0..iters {
-            std::hint::black_box(reach_set(db, nfa, from, Direction::Forward, None));
-        }
-        let reach_ms = median_ms(iters, || {
-            std::hint::black_box(reach_set(db, nfa, from, Direction::Forward, None));
-        });
-        out.push(StaticResult {
-            shape,
-            nodes: db.node_count(),
-            edges: db.edge_count(),
-            reach_ms,
-            baseline_ms: baseline_reach_ms(record, shape),
-        });
-    };
-
-    // Same construction parameters as e16_reach_csr's full mode (scaled
-    // down only in fast mode, where the record comparison is skipped).
-    {
-        let alpha = Arc::new(Alphabet::from_chars("ab"));
-        let n = 1200 / scale;
-        let word: Vec<Symbol> = alpha.parse_word(&"ab".repeat(n)).unwrap();
-        let (db, (s1, _), _) = graphs::two_paths(alpha, &word, &word);
-        push("line", &db, &nfa_of(db.alphabet(), "(ab)*"), s1);
-    }
-    {
-        let alpha = Arc::new(Alphabet::from_chars("ab"));
-        let side = 28 / scale.min(2);
-        let db = graphs::grid_labeled(alpha, side, side, 7);
-        push("grid", &db, &nfa_of(db.alphabet(), "(a|b)*a"), NodeId(0));
-    }
-    {
-        let alpha = Arc::new(Alphabet::from_chars("abc"));
-        let n = 200 / scale.min(2);
-        let db = graphs::random_labeled(alpha, n, 4 * n, 99);
-        let a = db.alphabet().sym("a");
-        let s1 = db
-            .nodes()
-            .find(|&m| !db.successors_with(m, a).is_empty())
-            .expect("an a-source");
-        push("random", &db, &nfa_of(db.alphabet(), "a(a|b)*c"), s1);
-    }
-    {
-        let alpha = Arc::new(Alphabet::from_chars("abcdefghijklmnop"));
-        let n = 96 / scale.min(2);
-        let db = graphs::random_labeled(alpha, n, 24 * n, 41);
-        let a = db.alphabet().sym("a");
-        let s1 = db
-            .nodes()
-            .find(|&m| !db.successors_with(m, a).is_empty())
-            .expect("an a-source");
-        push(
-            "label-dense",
-            &db,
-            &nfa_of(db.alphabet(), "(a|b)(a|b|c|d)*"),
-            s1,
-        );
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Part 2: interleaved insert/query under three maintenance strategies.
-// ---------------------------------------------------------------------
 
 /// One streaming scenario: a frozen seed graph, a stream of arc batches,
 /// and a query mix to run after every batch.
@@ -187,7 +64,7 @@ impl Scenario {
         total
     }
 
-    fn final_answers(&self, db: &GraphDb) -> Vec<HashSet<NodeId>> {
+    fn final_answers(&self, db: &GraphDb) -> Vec<ReachRow> {
         self.sources
             .iter()
             .map(|&s| reach_set(db, &self.nfa, s, Direction::Forward, None))
@@ -346,7 +223,7 @@ fn random_scenario(
     }
 }
 
-/// The e16 line shape, streamed: the second `(ab)^m` path is appended arc
+/// A line shape, streamed: the second `(ab)^m` path is appended arc
 /// by arc onto a frozen first path.
 fn line_scenario(m: usize, batches: usize) -> Scenario {
     let alpha = Arc::new(Alphabet::from_chars("ab"));
@@ -381,7 +258,7 @@ fn line_scenario(m: usize, batches: usize) -> Scenario {
     }
 }
 
-/// The e16 grid shape, streamed: a frozen `rows × cols` grid gains random
+/// A grid shape, streamed: a frozen `rows × cols` grid gains random
 /// labelled shortcut arcs.
 fn grid_scenario(side: usize, extra: usize, batches: usize, seed: u64) -> Scenario {
     let alpha = Arc::new(Alphabet::from_chars("ab"));
@@ -432,36 +309,8 @@ fn main() {
     let iters = if fast { 3 } else { 9 };
     let scale = if fast { 4 } else { 1 };
 
-    // Part 1: static merged-iteration overhead on the e16 shapes.
-    let record = if fast {
-        None // scaled-down shapes are not comparable to the full record
-    } else {
-        std::fs::read_to_string(format!(
-            "{}/../../BENCH_reach.json",
-            env!("CARGO_MANIFEST_DIR")
-        ))
-        .ok()
-    };
-    let statics = static_shapes(iters, scale, record.as_deref());
-    println!(
-        "{:<12} {:>7} {:>7} | {:>10} {:>10} {:>9}",
-        "static", "nodes", "edges", "reach now", "recorded", "overhead"
-    );
-    for s in &statics {
-        match (s.baseline_ms, s.overhead()) {
-            (Some(b), Some(x)) => println!(
-                "{:<12} {:>7} {:>7} | {:>8.3}ms {:>8.3}ms {:>8.2}x",
-                s.shape, s.nodes, s.edges, s.reach_ms, b, x
-            ),
-            _ => println!(
-                "{:<12} {:>7} {:>7} | {:>8.3}ms {:>10} {:>9}",
-                s.shape, s.nodes, s.edges, s.reach_ms, "-", "-"
-            ),
-        }
-    }
-
-    // Part 2: ingest strategies over growing graphs. The random family
-    // sweeps the overlay size to expose the delta-vs-compact crossover.
+    // Ingest strategies over growing graphs. The random family sweeps the
+    // overlay size to expose the delta-vs-compact crossover.
     let scenarios: Vec<Scenario> = vec![
         random_scenario(
             "random-small-delta",
@@ -539,21 +388,7 @@ fn main() {
         .unwrap_or_else(|| format!("{}/../../BENCH_streaming.json", env!("CARGO_MANIFEST_DIR")));
     let mut json = String::from("{\n  \"bench\": \"e19_streaming_ingest\",\n  \"mode\": ");
     json.push_str(if fast { "\"fast\"" } else { "\"full\"" });
-    json.push_str(",\n  \"static_overhead\": [\n");
-    for (i, s) in statics.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"nodes\": {}, \"edges\": {}, \"reach_ms\": {:.4}, \
-             \"recorded_reach_csr_ms\": {}, \"overhead\": {}}}{}\n",
-            s.shape,
-            s.nodes,
-            s.edges,
-            s.reach_ms,
-            s.baseline_ms.map_or("null".into(), |b| format!("{b:.4}")),
-            s.overhead().map_or("null".into(), |x| format!("{x:.3}")),
-            if i + 1 < statics.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"streaming\": [\n");
+    json.push_str(",\n  \"streaming\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"shape\": \"{}\", \"nodes\": {}, \"base_edges\": {}, \"delta_edges\": {}, \

@@ -21,7 +21,7 @@
 //! fixpoint (capped by the caller — early-exiting `boolean`/`check` calls
 //! cap low), visiting edges cheapest-first per the plan so the sharpest
 //! filters narrow the domains other edges then fill over. Fills are
-//! *domain-restricted*: [`ReachCache::fill_targets`](crate::reach::ReachCache::fill_targets) stripes cover only
+//! *domain-restricted*: [`ReachCache::fill`](crate::reach::ReachCache::fill) stripes cover only
 //! the current domain, never all of `db.nodes()`, so every later round
 //! costs traffic proportional to what pruning has already achieved.
 //! Under streaming appends the caches invalidate per label
@@ -230,33 +230,24 @@ impl Domains {
                 }
                 continue;
             }
-            let forward = self.sizes[src.index()] <= self.sizes[dst.index()];
             // The joined-from side (`near`) and the derived side (`far`).
-            let (near, far) = if forward { (src, dst) } else { (dst, src) };
+            let (dir, near, far) = if self.sizes[src.index()] <= self.sizes[dst.index()] {
+                (Direction::Forward, src, dst)
+            } else {
+                (Direction::Backward, dst, src)
+            };
             let near_members = self.members(near);
             if near_members.is_empty() {
                 // Already empty; the caller bails after the pass.
                 continue;
             }
-            if forward {
-                edges[i]
-                    .cache
-                    .fill_targets_with(db, &near_members, per_source);
-            } else {
-                edges[i]
-                    .cache
-                    .fill_sources_with(db, &near_members, per_source);
-            }
+            edges[i].cache.fill(db, &near_members, dir, per_source);
             gov.charge_mem(self.universe.div_ceil(8));
             let mut new_far = DenseBitSet::new(self.universe);
             let mut new_far_size = 0usize;
             let mut kept_near = 0usize;
             for &u in &near_members {
-                let across = if forward {
-                    edges[i].cache.targets(db, u)
-                } else {
-                    edges[i].cache.sources(db, u)
-                };
+                let across = edges[i].cache.row(db, u, dir);
                 let mut supported = false;
                 for &v in across.iter() {
                     if self.doms[far.index()].contains(v.index()) {

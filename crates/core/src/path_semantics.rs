@@ -120,15 +120,14 @@ pub fn rpq_pairs_governed(
                 if gov.is_aborted() {
                     break;
                 }
-                for v in reach_set_governed(db, nfa, u, Direction::Forward, None, &mut scratch, gov)
-                {
-                    out.insert((u, v));
-                }
+                let row =
+                    reach_set_governed(db, nfa, u, Direction::Forward, None, &mut scratch, gov);
+                out.extend(row.iter().map(|&v| (u, v)));
             }
         }
         PathSemantics::Arbitrary => {
             let sources: Vec<NodeId> = db.nodes().collect();
-            let sets = reach_all_governed(
+            let rows = reach_all_governed(
                 db,
                 nfa,
                 &sources,
@@ -138,10 +137,8 @@ pub fn rpq_pairs_governed(
                 &mut WaveScratch::default(),
                 gov,
             );
-            for (u, set) in sources.into_iter().zip(sets) {
-                for v in set {
-                    out.insert((u, v));
-                }
+            for (u, row) in sources.into_iter().zip(rows) {
+                out.extend(row.iter().map(|&v| (u, v)));
             }
         }
         PathSemantics::SimplePath | PathSemantics::Trail => {
@@ -374,11 +371,9 @@ mod tests {
         let routed = rpq_pairs(&db, &m, PathSemantics::Arbitrary);
         let mut reference = BTreeSet::new();
         let sources: Vec<NodeId> = db.nodes().collect();
-        let sets = reach_all(&db, &m, &sources, Direction::Forward, None);
-        for (u, set) in sources.into_iter().zip(sets) {
-            for v in set {
-                reference.insert((u, v));
-            }
+        let rows = reach_all(&db, &m, &sources, Direction::Forward, None);
+        for (u, row) in sources.into_iter().zip(rows) {
+            reference.extend(row.iter().map(|&v| (u, v)));
         }
         assert_eq!(routed, reference);
         assert_eq!(routed.len(), 147); // every node three hops from the end

@@ -53,8 +53,8 @@
 //! satisfied at once. Two iterator kinds feed the intersection: direct
 //! merged CSR [`EdgeRun`]s for atoms whose language is a set of
 //! single-symbol words (the database rows *are* their reach adjacency), and
-//! sorted reach-adjacency rows materialized once per `(source, atom)` from
-//! the [`ReachCache`] for general regular-path atoms. [`Strategy`] selects
+//! the [`ReachCache`]'s memoized reach rows (one per `(source, atom)`,
+//! ascending) for general regular-path atoms. [`Strategy`] selects
 //! the routing: `Auto` (cyclic components leapfrog, trees keep the plain
 //! backtracker), or a forced `Leapfrog`/`Backtrack` override for the
 //! differential suites. Governor checkpoints and projection-pushdown dedup
@@ -84,14 +84,13 @@ use crate::evaluate::{Answer, Outcome, Request};
 use crate::governor::Governor;
 use crate::pattern::NodeVar;
 use crate::plan::{single_step_symbols, SolvePlan};
-use crate::reach::{ReachCache, ReachStats};
+use crate::reach::{Direction, ReachCache, ReachRow, ReachStats};
 use crate::sync::{sync_sources_governed, sync_targets_governed, SyncSearch, SyncSpec};
 use crate::witness::{pin_tuple, QueryWitness};
 use cxrpq_automata::Nfa;
 use cxrpq_graph::{DenseBitSet, EdgeRun, GraphDb, NodeId, Symbol};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// A single-walker constraint `(src) -L(M)-> (dst)`.
@@ -106,16 +105,13 @@ pub struct FreeEdge {
 
 impl FreeEdge {
     /// The edge's candidate targets (or sources, `forward: false`) of
-    /// `from`, sorted ascending for deterministic extension order.
-    fn targets_sorted(&mut self, db: &GraphDb, from: NodeId, forward: bool) -> Vec<NodeId> {
-        let set = if forward {
+    /// `from`: the memoized reach row, ascending.
+    fn row(&mut self, db: &GraphDb, from: NodeId, forward: bool) -> ReachRow {
+        if forward {
             self.cache.targets(db, from)
         } else {
             self.cache.sources(db, from)
-        };
-        let mut v: Vec<NodeId> = set.iter().copied().collect();
-        v.sort();
-        v
+        }
     }
 }
 
@@ -446,8 +442,8 @@ struct EnumCtx<'a> {
     lf_vars: Vec<bool>,
     /// Per free edge: the accepted symbols when the atom's language is a
     /// set of single-symbol words, so its candidate sets are direct CSR
-    /// runs ([`single_step_symbols`]); `None` routes through materialized
-    /// sorted reach rows. Only populated when some variable leapfrogs.
+    /// runs ([`single_step_symbols`]); `None` routes through the memoized
+    /// reach rows. Only populated when some variable leapfrogs.
     single_step: Vec<Option<Vec<Symbol>>>,
 }
 
@@ -470,9 +466,9 @@ enum SortedSet<'a> {
     /// base+delta run per accepted symbol, each `(label, neighbour)`-sorted
     /// — the union view seeks every run and takes the minimum.
     Runs(Vec<(Symbol, EdgeRun<'a>)>),
-    /// A materialized sorted reach-adjacency row (general regular-path
-    /// atom), shared with the [`ReachCache`]'s per-source memo.
-    Row(Rc<[NodeId]>, usize),
+    /// A general regular-path atom's reach row, shared with the
+    /// [`ReachCache`]'s memo.
+    Row(ReachRow, usize),
     /// The variable's pruned domain.
     Bits(&'a DenseBitSet),
 }
@@ -1438,8 +1434,8 @@ impl Problem {
             // Terminal projection leaf: binding `var` completes the output
             // tuple and nothing else is pending, so every admitted
             // candidate is its own existential witness — the semi-joined
-            // candidate set is emitted directly, with no sub-search and no
-            // sorting (the answer set is order-free).
+            // candidate set is emitted directly, in the row's node order,
+            // with no sub-search.
             let terminal = st.project
                 && !st.existential
                 && st.unbound_outputs == 1
@@ -1447,12 +1443,7 @@ impl Problem {
                 && st.group_done.iter().all(|d| *d)
                 && st.edge_done.iter().enumerate().all(|(j, d)| j == i || *d);
             if terminal {
-                let from = bs.or(bd).unwrap();
-                let set = if bs.is_some() {
-                    self.free_edges[i].cache.targets(db, from)
-                } else {
-                    self.free_edges[i].cache.sources(db, from)
-                };
+                let row = self.free_edges[i].row(db, bs.or(bd).unwrap(), bs.is_some());
                 // Small-arity tuples with `var` at a single position pack
                 // against a hoisted key template: the per-candidate dedup
                 // probe is one shift-or plus a hash insert, and duplicate
@@ -1474,7 +1465,7 @@ impl Problem {
                         }
                         (key, shift)
                     });
-                for &c in set.iter() {
+                for &c in row.iter() {
                     if ctx.gov.is_aborted() {
                         return false; // drain: emitted tuples stand
                     }
@@ -1514,16 +1505,8 @@ impl Problem {
                 return false;
             }
             st.edge_done[i] = true;
-            // Per-call sort, not the memoized sorted rows: binary extension
-            // visits most sources once, so the row memo's hash-and-share
-            // overhead never amortizes here (the leapfrog intersection, with
-            // its repeated per-(source, atom) seeks, is where it pays).
-            let candidates: Vec<NodeId> = if let Some(u) = bs {
-                self.free_edges[i].targets_sorted(db, u, true)
-            } else {
-                self.free_edges[i].targets_sorted(db, bd.unwrap(), false)
-            };
-            for c in candidates {
+            let candidates = self.free_edges[i].row(db, bs.or(bd).unwrap(), bs.is_some());
+            for &c in candidates.iter() {
                 if ctx.gov.is_aborted() {
                     break; // drain the candidate sweep
                 }
@@ -1716,10 +1699,10 @@ impl Problem {
                             continue;
                         }
                         if e.src == var {
-                            e.cache.fill_targets(db, &chunk);
+                            e.cache.fill(db, &chunk, Direction::Forward, false);
                         }
                         if e.dst == var {
-                            e.cache.fill_sources(db, &chunk);
+                            e.cache.fill(db, &chunk, Direction::Backward, false);
                         }
                     }
                 }
@@ -1779,8 +1762,8 @@ impl Problem {
     /// Extends `var` by leapfrog multiway intersection. Each `parts` entry
     /// `(edge, forward, from)` is a pending constraint whose other endpoint
     /// is bound to `from`; it contributes the sorted set of `var`-candidates
-    /// it supports — a direct CSR run union for single-step atoms, a
-    /// materialized sorted reach row otherwise — and the pruned domain
+    /// it supports — a direct CSR run union for single-step atoms, the
+    /// memoized reach row otherwise — and the pruned domain
     /// joins as one more set. The sweep seeks every set to the running
     /// maximum (binary-search `seek_ge`, counted in
     /// [`PipelineStats::intersection_seeks`]); a value all `k` sets agree
@@ -1814,14 +1797,7 @@ impl Problem {
                         .collect();
                     sets.push(SortedSet::Runs(runs));
                 }
-                None => {
-                    let row = if forward {
-                        self.free_edges[j].cache.targets_sorted(db, from)
-                    } else {
-                        self.free_edges[j].cache.sources_sorted(db, from)
-                    };
-                    sets.push(SortedSet::Row(row, 0));
-                }
+                None => sets.push(SortedSet::Row(self.free_edges[j].row(db, from, forward), 0)),
             }
         }
         if let Some(d) = ctx.domains {

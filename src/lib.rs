@@ -69,9 +69,9 @@
 //! monotonically increasing `generation()` id lets node-keyed caches
 //! detect cross-database reuse. The product-search hot loops in
 //! `cxrpq-core` ride on this with dense-bitset visited sets and bitmask
-//! NFA state sets; `cargo bench -p cxrpq-bench --bench e16_reach_csr`
-//! measures the layout against the pre-CSR representation (results
-//! recorded in `BENCH_reach.json`). On top sits the level-synchronous
+//! NFA state sets (`BENCH_reach.json` records the layout against the
+//! pre-CSR representation), and every reach search returns one row
+//! type, a sorted `Rc<[NodeId]>`. On top sits the level-synchronous
 //! frontier engine (`cxrpq_core::frontier`): `reach_all` batches
 //! multi-source product reachability into 64-source membership-stripe
 //! wavefronts, and both it and the synchronized search shard fat BFS

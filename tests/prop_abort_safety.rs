@@ -17,11 +17,9 @@
 //!
 //! The abort points are exact: a dry governed run counts the checkpoints
 //! the instance passes, then fault injection trips the governor at sampled
-//! 1-based checkpoint indices across that range. Checkpoint totals are not
-//! reproducible for projected solves (witness searches early-exit out of
-//! hash-ordered reach sets), so an injection index beyond what a given run
-//! reaches legitimately leaves the governor untripped — such runs must be
-//! indistinguishable from ungoverned ones.
+//! 1-based checkpoint indices across that range. Runs are deterministic —
+//! a second dry run passes the same number of checkpoints — so every
+//! injection index in range must trip.
 
 use cxrpq::core::{
     AbortReason, Crpq, CrpqEvaluator, Cxrpq, Ecrpq, EcrpqEvaluator, Evaluate, Governor,
@@ -73,6 +71,13 @@ fn assert_abort_safety(
         );
 
         let seen = dry.checkpoints_seen();
+        let again = Arc::new(Governor::unlimited());
+        let _ = solve(&base.clone().governed(again.clone()));
+        prop_assert_eq!(
+            again.checkpoints_seen(),
+            seen,
+            "two dry runs of one configuration passed different checkpoint counts"
+        );
         if seen == 0 {
             continue;
         }
@@ -85,23 +90,13 @@ fn assert_abort_safety(
             };
             let gov = Arc::new(Governor::unlimited().with_injection(k));
             let partial = solve(&base.clone().governed(gov.clone()));
-            if gov.abort_reason().is_none() {
-                // Projected witness searches early-exit out of hash-ordered
-                // reach sets, so the amount of governed work varies run to
-                // run and a high injection index can overshoot this run's
-                // checkpoint count. The governor then never trips and the
-                // run must be indistinguishable from an ungoverned solve.
-                prop_assert_eq!(gov.verdict(), Verdict::Complete);
-                prop_assert_eq!(
-                    &partial,
-                    &complete,
-                    "untripped injection at {}/{} changed the answers",
-                    k,
-                    seen
-                );
-                continue;
-            }
-            prop_assert_eq!(gov.abort_reason(), Some(AbortReason::Injected));
+            prop_assert_eq!(
+                gov.abort_reason(),
+                Some(AbortReason::Injected),
+                "injection at checkpoint {}/{} did not trip",
+                k,
+                seen
+            );
             prop_assert!(
                 partial.is_subset(&complete),
                 "abort at checkpoint {}/{} produced tuples outside the \

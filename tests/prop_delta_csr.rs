@@ -247,7 +247,7 @@ proptest! {
             for u in db.nodes() {
                 let cached = cache.targets(db, u);
                 let fresh = reach_set(db, &nfa, u, Direction::Forward, None);
-                assert_eq!(*cached, fresh, "stale cache fill from {u:?}");
+                assert_eq!(cached, fresh, "stale cache fill from {u:?}");
                 let cached = cache.sources(db, u);
                 let fresh = reach_set(
                     db,
@@ -256,7 +256,7 @@ proptest! {
                     Direction::Backward,
                     None,
                 );
-                assert_eq!(*cached, fresh, "stale cache source fill from {u:?}");
+                assert_eq!(cached, fresh, "stale cache source fill from {u:?}");
             }
         });
     }

@@ -13,12 +13,15 @@
 //!    [`WorkerPool`]s — a 1-worker pool (the submitter does all the
 //!    helping) vs a 4-worker pool — must not change any result.
 //!
+//! Every row these runs return, in both directions and at every worker
+//! count, must be strictly ascending (the one reach-row invariant).
+//!
 //! Thread counts beyond the machine's cores are deliberate: correctness of
 //! the shard/merge protocol may not depend on physical parallelism.
 
 use cxrpq::automata::{parse_regex, Nfa};
 use cxrpq::core::frontier::FrontierConfig;
-use cxrpq::core::reach::{reach_all_with, reach_set, reverse_nfa, Direction};
+use cxrpq::core::reach::{reach_all_with, reach_set, reverse_nfa, Direction, ReachRow};
 use cxrpq::core::sync::{SyncSearch, SyncSpec};
 use cxrpq::core::WorkerPool;
 use cxrpq::graph::{Alphabet, GraphDb, NodeId};
@@ -76,6 +79,11 @@ fn random_sources(rng: &mut StdRng, db: &GraphDb) -> Vec<NodeId> {
         .collect()
 }
 
+/// Whether every row is strictly ascending (sorted and duplicate-free).
+fn ascending(rows: &[ReachRow]) -> bool {
+    rows.iter().all(|r| r.windows(2).all(|w| w[0] < w[1]))
+}
+
 /// Forced-parallel configuration: more workers than this container has
 /// cores, sharding on every level.
 fn forced_parallel() -> FrontierConfig {
@@ -106,6 +114,7 @@ proptest! {
         let serial = FrontierConfig::serial();
         let fwd = reach_all_with(&db, &nfa, &sources, Direction::Forward, None, &serial);
         let bwd = reach_all_with(&db, &rev, &sources, Direction::Backward, None, &serial);
+        prop_assert!(ascending(&fwd) && ascending(&bwd), "unsorted row (seed {})", seed);
         for (i, &u) in sources.iter().enumerate() {
             prop_assert_eq!(
                 &fwd[i],
@@ -132,7 +141,17 @@ proptest! {
         let parallel = reach_all_with(
             &db, &nfa, &sources, Direction::Forward, None, &forced_parallel(),
         );
+        prop_assert!(ascending(&serial) && ascending(&parallel), "unsorted row (seed {})", seed);
         prop_assert_eq!(serial, parallel, "thread count changed reach_all (seed {})", seed);
+        let rev = reverse_nfa(&nfa);
+        let serial = reach_all_with(
+            &db, &rev, &sources, Direction::Backward, None, &FrontierConfig::serial(),
+        );
+        let parallel = reach_all_with(
+            &db, &rev, &sources, Direction::Backward, None, &forced_parallel(),
+        );
+        prop_assert!(ascending(&serial) && ascending(&parallel), "unsorted row (seed {})", seed);
+        prop_assert_eq!(serial, parallel, "thread count changed backward reach_all (seed {})", seed);
     }
 
     #[test]
@@ -181,6 +200,7 @@ proptest! {
         let four = forced_parallel().with_pool(pool_of_four());
         let r1 = reach_all_with(&db, &nfa, &sources, Direction::Forward, None, &one);
         let r4 = reach_all_with(&db, &nfa, &sources, Direction::Forward, None, &four);
+        prop_assert!(ascending(&r1) && ascending(&r4), "unsorted row (seed {})", seed);
         prop_assert_eq!(r1, r4, "pool size changed reach_all (seed {})", seed);
 
         let arity = rng.random_range(1..=3usize);

@@ -63,6 +63,14 @@ proptest! {
         let expected = simple.boolean(&db);
         let w_simple = simple.witness(&db);
         prop_assert_eq!(w_simple.is_some(), expected);
+        // Same input, same witness: a freshly built evaluator picks the
+        // same morphism.
+        let again = SimpleEvaluator::new(&q).unwrap().witness(&db);
+        prop_assert_eq!(
+            again.map(|w| w.morphism),
+            w_simple.as_ref().map(|w| w.morphism.clone()),
+            "witness morphism changed between calls"
+        );
         if let Some(w) = &w_simple {
             prop_assert!(q.certifies(&db, w, &MatchConfig::default()).is_ok());
         }
