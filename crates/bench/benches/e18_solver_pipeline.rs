@@ -49,7 +49,7 @@
 //! must return them all — the CI guard for the governed abort paths.
 
 use cxrpq_bench::median_ms;
-use cxrpq_core::{Crpq, CrpqEvaluator, Evaluate, Governor, Request, SolveOptions, Strategy};
+use cxrpq_core::{Crpq, CrpqEvaluator, Evaluate, Governor, Request, SolveOptions};
 use cxrpq_graph::{Alphabet, GraphBuilder, GraphDb, NodeId, Symbol};
 use cxrpq_workloads::graphs;
 use std::sync::Arc;
@@ -135,13 +135,9 @@ struct ShapeResult {
     peeled_vars: usize,
     /// The existential-elimination A/B (see [`run_elimination_shape`]).
     elimination: Option<EliminationAb>,
-    /// Cyclic cores routed to the leapfrog intersection by the Auto
-    /// strategy (0 on tree shapes).
-    leapfrog_components: usize,
-    /// Median of the same pipeline run with the leapfrog intersection
-    /// disabled (`Strategy::Backtrack`) — only measured on cyclic shapes,
-    /// where `pipeline_ms` is the leapfrog lane.
-    backtrack_ms: Option<f64>,
+    /// Leapfrog `seek_ge` probes of one pipeline run (0 when no variable
+    /// met two bound constraints).
+    intersection_seeks: usize,
     /// Governed smoke outcome when `CXRPQ_SMOKE_MAX_STEPS` is set:
     /// (aborted?, partial answer count).
     governed: Option<(bool, usize)>,
@@ -224,7 +220,7 @@ fn run_shape(
         .and_then(|s| s.analysis.as_ref())
         .map_or(0, |a| a.stats.vars_contracted);
     let peeled_vars = stats.map_or(0, |s| s.peeled_vars);
-    let leapfrog_components = stats.map(|s| s.leapfrog_components).unwrap_or(0);
+    let intersection_seeks = stats.map_or(0, |s| s.intersection_seeks);
 
     // Governed smoke: the same solve under an aggressive fuel budget must
     // terminate (bounded by the budget), never panic, and only ever
@@ -272,8 +268,7 @@ fn run_shape(
         contracted_vars,
         peeled_vars,
         elimination: None,
-        leapfrog_components,
-        backtrack_ms: None,
+        intersection_seeks,
         governed,
     }
 }
@@ -317,42 +312,6 @@ fn run_elimination_shape(
         off: spread_ms(offs),
         on: spread_ms(ons),
     });
-    r
-}
-
-/// A cyclic shape measured under three enumeration lanes: the naive
-/// reference, the pipeline with the leapfrog intersection (the Auto
-/// routing — asserted), and the same pipeline with leapfrog disabled.
-fn run_cyclic_shape(
-    shape: &'static str,
-    db: &GraphDb,
-    query_edges: &[(&str, &str, &str)],
-    output: &[&str],
-    iters: usize,
-) -> ShapeResult {
-    let mut r = run_shape(shape, db, query_edges, output, iters);
-    assert!(
-        r.leapfrog_components >= 1,
-        "{shape}: a cyclic core must route to leapfrog under Auto"
-    );
-    let mut alpha = db.alphabet().clone();
-    let q = Crpq::build(query_edges, output, &mut alpha).unwrap();
-    let ev = CrpqEvaluator::new(&q);
-    let back = SolveOptions::pipeline()
-        .projected()
-        .with_strategy(Strategy::Backtrack);
-    let ans_back = ev.run(db, Request::Answers, &back).value.into_tuples();
-    let ans_leap = ev
-        .run(db, Request::Answers, &SolveOptions::pipeline().projected())
-        .value
-        .into_tuples();
-    assert_eq!(
-        ans_back, ans_leap,
-        "{shape}: forced backtrack disagrees with leapfrog"
-    );
-    r.backtrack_ms = Some(median_ms(iters, || {
-        std::hint::black_box(ev.run(db, Request::Answers, &back));
-    }));
     r
 }
 
@@ -527,8 +486,9 @@ fn main() {
             iters,
         ));
     }
-    // Cyclic cores: the worst-case-optimal leapfrog lane vs the forced
-    // backtracker vs naive.
+    // Cyclic cores, where the enumerator intersects the bound atoms at
+    // each variable (worst-case-optimal leapfrog) instead of extending
+    // along one of them.
     //
     // The triangle runs on the AGM worst-case "spoke" instance, where any
     // join-at-a-time plan is provably Θ(m²) while the output (and the
@@ -538,7 +498,7 @@ fn main() {
     {
         let m = 400 / scale.min(2);
         let db = spoke_triangle(m);
-        results.push(run_cyclic_shape(
+        results.push(run_shape(
             "triangle",
             &db,
             &[("x", "a", "y"), ("y", "b", "z"), ("z", "a", "x")],
@@ -554,7 +514,7 @@ fn main() {
     // the tree-narrowed "diamond" shape above, nothing is rare here).
     {
         let db = dense(0xdd);
-        results.push(run_cyclic_shape(
+        results.push(run_shape(
             "diamond_dense",
             &db,
             &[
@@ -570,7 +530,7 @@ fn main() {
     // 4-clique: six atoms, every variable in three cycles.
     {
         let db = dense(0xc14);
-        results.push(run_cyclic_shape(
+        results.push(run_shape(
             "clique4",
             &db,
             &[
@@ -628,25 +588,6 @@ fn main() {
         }
     }
 
-    // The strategy comparison on cyclic shapes: pipeline_ms above is the
-    // leapfrog lane; this table adds the forced-backtrack lane.
-    if results.iter().any(|r| r.backtrack_ms.is_some()) {
-        println!(
-            "\n{:<14} {:>11} {:>11} {:>7}",
-            "cyclic shape", "backtrack", "leapfrog", "x"
-        );
-        for r in results.iter().filter(|r| r.backtrack_ms.is_some()) {
-            let back = r.backtrack_ms.unwrap();
-            println!(
-                "{:<14} {:>9.3}ms {:>9.3}ms {:>6.2}x",
-                r.shape,
-                back,
-                r.pipeline_ms,
-                back / r.pipeline_ms,
-            );
-        }
-    }
-
     if let Some(budget) = smoke_budget() {
         let aborted = results
             .iter()
@@ -675,16 +616,6 @@ fn main() {
     json.push_str(&format!(",\n  \"env\": {}", env_fingerprint()));
     json.push_str(",\n  \"shapes\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let strategy = match r.backtrack_ms {
-            Some(back) => format!(
-                ", \"leapfrog_components\": {}, \"backtrack_ms\": {:.4}, \
-                 \"leapfrog_speedup\": {:.2}",
-                r.leapfrog_components,
-                back,
-                back / r.pipeline_ms
-            ),
-            None => String::new(),
-        };
         let elimination = match &r.elimination {
             Some(ab) => format!(
                 ", \"elimination_off_ms\": [{:.4}, {:.4}, {:.4}], \
@@ -705,7 +636,7 @@ fn main() {
              \"answers\": {}, \"eliminated_vars\": {}, \"contracted_vars\": {}, \
              \"peeled_vars\": {}, \"naive_ms\": {:.4}, \
              \"pipeline_ms\": {:.4}, \"pipeline_speedup\": {:.2}, \
-             \"per_source_sweeps\": {}{}{}}}{}\n",
+             \"per_source_sweeps\": {}, \"intersection_seeks\": {}{}}}{}\n",
             r.shape,
             r.nodes,
             r.edges,
@@ -718,8 +649,8 @@ fn main() {
             r.pipeline_ms,
             r.naive_ms / r.pipeline_ms,
             r.per_source_sweeps,
+            r.intersection_seeks,
             elimination,
-            strategy,
             if i + 1 < results.len() { "," } else { "" }
         ));
     }

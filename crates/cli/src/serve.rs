@@ -24,6 +24,12 @@
 //! its own [`Governor`]; a client that disconnects mid-evaluation trips
 //! the governor's cancel flag, so abandoned queries stop burning the
 //! pool (and, being aborted, never poison the cache).
+//!
+//! At most [`MAX_CONNECTIONS`] connections are served at once; one more
+//! is answered `err busy` and closed. A connection that sends no complete
+//! request line for [`IDLE_TIMEOUT`] is closed, and every idle handler
+//! notices `SHUTDOWN` within one 25 ms watch tick, so no quiet client keeps
+//! the server from exiting.
 
 use crate::{parse_engine, parse_graph, CmdError, EvalCmdOptions};
 use cxrpq_core::{CacheConfig, EvalOptions, Governor, QueryCache, ServedAnswers, Verdict};
@@ -34,11 +40,21 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How often a request handler checks its socket for a disconnect while
-/// the query evaluates.
+/// How often a connection handler wakes: while a query evaluates, to
+/// check its socket for a disconnect; while it waits for a request line,
+/// to check for `SHUTDOWN` and the idle timeout.
 const WATCH_TICK: Duration = Duration::from_millis(25);
+
+/// Most connections served at once. One more is answered `err busy` and
+/// closed, so no burst of clients can spawn handler threads without
+/// bound.
+pub const MAX_CONNECTIONS: usize = 32;
+
+/// How long a connection may go without sending a complete request line
+/// before the server closes it.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Longest request line read, in bytes without the newline. A client that
 /// sends more without a newline gets `err request line too long` and the
@@ -120,18 +136,22 @@ pub fn run_serve(
     });
     on_ready(addr);
 
-    let mut handles = Vec::new();
+    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for conn in listener.incoming() {
         if srv.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match conn {
+        let mut stream = match conn {
             Ok(s) => s,
             Err(_) => continue,
         };
+        handles.retain(|h| !h.is_finished());
+        if handles.len() >= MAX_CONNECTIONS {
+            let _ = stream.write_all(render_error("busy").as_bytes());
+            continue;
+        }
         let srv = Arc::clone(&srv);
         handles.push(std::thread::spawn(move || handle_connection(&srv, stream)));
-        handles.retain(|h| !h.is_finished());
     }
     for h in handles {
         let _ = h.join();
@@ -159,10 +179,13 @@ fn handle_connection(srv: &Server, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
+    if read_half.set_read_timeout(Some(WATCH_TICK)).is_err() {
+        return;
+    }
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     loop {
-        let line = match read_request_line(&mut reader) {
+        let line = match read_request_line(&mut reader, &srv.shutdown) {
             RequestLine::Text(line) => line,
             RequestLine::TooLong => {
                 srv.errors.fetch_add(1, Ordering::Relaxed);
@@ -203,18 +226,30 @@ enum RequestLine {
     Text(String),
     /// More than [`MAX_REQUEST_LINE`] bytes without a newline.
     TooLong,
-    /// End of stream, a read error or a line that is not UTF-8.
+    /// End of stream, a read error, a line that is not UTF-8, no complete
+    /// line within [`IDLE_TIMEOUT`], or `shutdown` set while waiting.
     End,
 }
 
 /// Reads one request line, consuming at most [`MAX_REQUEST_LINE`] + 1
-/// bytes. A last line without a newline still counts as a line.
-fn read_request_line(reader: &mut impl BufRead) -> RequestLine {
+/// bytes. A last line without a newline still counts as a line. Reads
+/// time out every [`WATCH_TICK`] (the handler sets the socket's read
+/// timeout); a partial line survives a timeout.
+fn read_request_line(reader: &mut impl BufRead, shutdown: &AtomicBool) -> RequestLine {
     let mut buf = Vec::new();
-    let cap = MAX_REQUEST_LINE as u64 + 1;
-    match reader.take(cap).read_until(b'\n', &mut buf) {
-        Ok(0) | Err(_) => return RequestLine::End,
-        Ok(_) => {}
+    let start = Instant::now();
+    loop {
+        let cap = (MAX_REQUEST_LINE + 1 - buf.len()) as u64;
+        match reader.take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) if buf.is_empty() => return RequestLine::End,
+            Ok(_) => break,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if shutdown.load(Ordering::SeqCst) || start.elapsed() >= IDLE_TIMEOUT {
+                    return RequestLine::End;
+                }
+            }
+            Err(_) => return RequestLine::End,
+        }
     }
     if buf.last() == Some(&b'\n') {
         buf.pop();
@@ -322,7 +357,7 @@ where
 /// Whether the client has hung up: one non-blocking `peek` (which never
 /// consumes bytes, so pipelined follow-up requests are untouched) that
 /// sees EOF or a socket error. The socket is back in blocking mode, with
-/// no read timeout, when this returns.
+/// its read timeout, when this returns.
 fn client_gone(stream: &TcpStream) -> bool {
     if stream.set_nonblocking(true).is_err() {
         return false;

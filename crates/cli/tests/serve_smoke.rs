@@ -1,13 +1,15 @@
 //! End-to-end smoke test for the `serve` subcommand: a real TCP server,
 //! a mixed workload over multiple connections (repeated queries, a
 //! governed abort, protocol verbs), shared-cache warm hits, and a clean
-//! `SHUTDOWN`.
+//! `SHUTDOWN`, plus the connection cap and a `SHUTDOWN` that an idle
+//! client cannot hold up.
 
-use cxrpq_cli::serve::MAX_REQUEST_LINE;
+use cxrpq_cli::serve::{MAX_CONNECTIONS, MAX_REQUEST_LINE};
 use cxrpq_cli::{run_serve, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const GRAPH: &str = "\
 alphabet a b c
@@ -279,22 +281,96 @@ fn serve_cancels_a_running_query_on_disconnect() {
     {
         let mut ghost = Client::connect(addr);
         ghost.send(Q_HEAVY);
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        std::thread::sleep(Duration::from_millis(100));
     }
     let mut c = Client::connect(addr);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let stats = c.request("STATS");
         if stats.iter().any(|l| l == "aborted=1") {
             break;
         }
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "abandoned query was not cancelled: {stats:?}"
         );
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
     }
     let down = c.request("SHUTDOWN");
     assert_eq!(down[0], "ok shutting down");
     server.join().expect("server thread").expect("serve ok");
+}
+
+/// Starts a server on an ephemeral port. Its report arrives on the
+/// returned channel, so a test can bound how long it waits for shutdown.
+fn spawn_server() -> (SocketAddr, mpsc::Receiver<Result<String, String>>) {
+    let (ready_tx, ready_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let report = run_serve(
+            GRAPH,
+            ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..ServeConfig::default()
+            },
+            move |addr| ready_tx.send(addr).unwrap(),
+        );
+        let _ = done_tx.send(report);
+    });
+    (ready_rx.recv().expect("server ready"), done_rx)
+}
+
+#[test]
+fn serve_refuses_connections_past_the_cap() {
+    let (addr, done) = spawn_server();
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut c = Client::connect(addr);
+            c.send("PING");
+            assert_eq!(c.read_line(), "pong");
+            c
+        })
+        .collect();
+
+    // One past the cap: one error frame, then the server hangs up.
+    let mut extra = Client::connect(addr);
+    assert_eq!(extra.read_frame(), ["err busy"]);
+    let mut rest = String::new();
+    assert_eq!(extra.reader.read_line(&mut rest).expect("read"), 0);
+
+    // A freed slot serves the next client once its handler has exited.
+    assert_eq!(held.pop().unwrap().request("QUIT"), ["ok bye"]);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut next = loop {
+        let mut c = Client::connect(addr);
+        c.send("PING");
+        if c.read_line() == "pong" {
+            break c;
+        }
+        assert!(Instant::now() < deadline, "the freed slot was never reused");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(next.request("SHUTDOWN"), ["ok shutting down"]);
+    let report = done
+        .recv_timeout(Duration::from_secs(10))
+        .expect("server exits");
+    assert!(report.expect("serve ok").contains("served"));
+}
+
+#[test]
+fn serve_shuts_down_while_an_idle_client_is_connected() {
+    let (addr, done) = spawn_server();
+    let mut idle = Client::connect(addr);
+    idle.send("PING");
+    assert_eq!(idle.read_line(), "pong");
+
+    let mut c = Client::connect(addr);
+    assert_eq!(c.request("SHUTDOWN"), ["ok shutting down"]);
+    let report = done
+        .recv_timeout(Duration::from_secs(10))
+        .expect("an idle client must not hold up SHUTDOWN");
+    assert!(report.expect("serve ok").contains("served"));
+    // The idle connection was closed on the way out.
+    let mut rest = String::new();
+    assert_eq!(idle.reader.read_line(&mut rest).expect("read"), 0);
 }

@@ -83,7 +83,7 @@ pub use pool::WorkerPool;
 pub use query_text::{canonical_query, normalize_query, parse_query, render_query, QueryTextError};
 pub use relation::{RegularRelation, RelLabel, TupComp};
 pub use simple_eval::SimpleEvaluator;
-pub use solve::{PipelineStats, SolveOptions, Strategy};
+pub use solve::{PipelineStats, SolveOptions};
 pub use union_query::{UnionCrpq, UnionEcrpq};
 pub use vsf_eval::VsfEvaluator;
 pub use witness::{edge_path, QueryWitness};

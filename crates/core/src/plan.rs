@@ -15,27 +15,16 @@
 //! half-bound extensions compete, so join order follows the data instead of
 //! query-text accident.
 //!
-//! **Cyclic cores.** The plan classifies query cores by the *cycle rank*
-//! of the free-edge subgraph: over the variables and free-edge constraints
-//! of each edge-connected component, a component is a tree iff
-//! `incidences = vars + edges − 1`, and any excess incidence closes a
-//! cycle — two parallel atoms over the same variable pair count, exactly
-//! because a multiway intersection can exploit them. Only free edges enter
-//! the rank: the leapfrog intersection operates on per-edge candidate
-//! sets, so a variable group overlapping an edge in two variables (the
-//! shape every simple-CXRPQ atom compiles to) is a Berge cycle it cannot
-//! exploit and must not trigger on — groups merge components for
-//! connectivity but never add rank. Cyclic cores are where binary
-//! semi-join backtracking is provably suboptimal (triangles, dense
-//! diamonds), so the enumerator routes their variables to the
-//! worst-case-optimal leapfrog intersection ([`SolvePlan::cyclic_var`])
-//! while trees keep the plain backtracker. The classification runs after
-//! the analyzer's subsumption pass has dropped redundant parallel atoms,
-//! so minimizable pseudo-cycles don't trigger it.
+//! **Cyclic cores.** The plan does not classify cores as cyclic or
+//! acyclic. Whether binding a variable calls for a multiway intersection
+//! is visible at run time: the enumerator intersects whenever two or more
+//! pending free edges with a bound other end meet the variable it extends
+//! (see [`crate::solve`]), which is exactly where a cycle of the core, or
+//! a pair of parallel atoms, closes. The analyzer's subsumption pass runs
+//! first and drops redundant parallel atoms.
 //!
 //! **Projection split.** The plan also records which node variables are in
-//! the query's *output tuple* and where each variable is last used
-//! ([`SolvePlan::last_use`]): the variable order decomposes into an
+//! the query's *output tuple*: the variable order decomposes into an
 //! *enumerate prefix* — everything up to and including the last output
 //! variable (outputs plus the shared variables needed to reach them) — and
 //! an *existential suffix* ([`SolvePlan::prefix_len`]) of non-output
@@ -266,17 +255,6 @@ pub struct SolvePlan {
     /// `seed_rank[v] = position of v in var_order` (`usize::MAX` for
     /// variables in no constraint), for O(1) order lookups.
     pub seed_rank: Vec<usize>,
-    /// Per-variable *last use*: the highest `var_order` position among the
-    /// variables of any constraint mentioning it — the point in the order
-    /// at which its last constraint becomes fully bound and the variable
-    /// stops constraining anything still pending (`usize::MAX` for
-    /// variables in no constraint). The enumerator's existential cutoff is
-    /// deliberately *dynamic* (it watches the live unbound-output count,
-    /// because extension order is constraint-driven, not rank-driven);
-    /// this static view is plan metadata — it justifies `prefix_len`,
-    /// feeds diagnostics/tests, and is the scope boundary a sorted-emission
-    /// mode would need (ROADMAP "Distinct-projection ordering").
-    pub last_use: Vec<usize>,
     /// Length of the *enumerate prefix* of `var_order`: everything up to
     /// and including the last output variable. Positions `prefix_len..` are
     /// the *existential suffix* — non-output variables that projection
@@ -284,16 +262,6 @@ pub struct SolvePlan {
     /// backtracking (0 when no output variable occurs in a constraint,
     /// e.g. Boolean queries, where the whole order is existential).
     pub prefix_len: usize,
-    /// Per-variable: whether the variable lies in a *cyclic* core of the
-    /// free-edge subgraph (see the module docs' cycle-rank criterion).
-    /// The enumerator routes these variables to the leapfrog multiway
-    /// intersection under [`Strategy::Auto`](crate::solve::Strategy).
-    pub cyclic_var: Vec<bool>,
-    /// Number of cyclic edge-connected cores of the free-edge subgraph.
-    pub cyclic_components: usize,
-    /// Number of connected components of the full constraint graph
-    /// (groups included) whose free edges close no cycle.
-    pub tree_components: usize,
 }
 
 impl SolvePlan {
@@ -406,25 +374,6 @@ impl SolvePlan {
         for (pos, v) in var_order.iter().enumerate() {
             seed_rank[v.index()] = pos;
         }
-        // Last-use positions: a constraint is fully bound once its highest-
-        // ranked variable is; each of its variables is "used" until then.
-        let mut last_use = vec![usize::MAX; node_count];
-        for c in &constraints {
-            let cmax = c
-                .vars
-                .iter()
-                .map(|v| seed_rank[v.index()])
-                .max()
-                .unwrap_or(0);
-            for &v in &c.vars {
-                let e = &mut last_use[v.index()];
-                *e = if *e == usize::MAX {
-                    cmax
-                } else {
-                    (*e).max(cmax)
-                };
-            }
-        }
         let mut prefix_len = 0;
         for (pos, v) in var_order.iter().enumerate() {
             if output.contains(v) {
@@ -432,93 +381,12 @@ impl SolvePlan {
             }
         }
 
-        // Cyclic-core detection. Connectivity uses every constraint (groups
-        // merge the variables they touch), but cycle rank is measured over
-        // the free-edge subgraph only: the leapfrog intersection operates on
-        // per-edge candidate sets, so a core is routed to it exactly when
-        // its *edges* close a cycle. A group overlapping an edge in two
-        // variables is a Berge cycle the intersection cannot exploit and
-        // must not trigger on. Per edge-connected component, a tree has
-        // incidences = vars + edges − 1; any excess closes a cycle.
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]]; // path halving
-                x = parent[x];
-            }
-            x
-        }
-        let mut parent: Vec<usize> = (0..node_count).collect();
-        for c in &constraints {
-            let mut vars = c.vars.iter().map(|v| v.index());
-            if let Some(first) = vars.next() {
-                let r = find(&mut parent, first);
-                for v in vars {
-                    let rv = find(&mut parent, v);
-                    parent[rv] = r;
-                }
-            }
-        }
-        let mut eparent: Vec<usize> = (0..node_count).collect();
-        for e in free {
-            let r = find(&mut eparent, e.src.index());
-            let rv = find(&mut eparent, e.dst.index());
-            eparent[rv] = r;
-        }
-        // Per edge-component tallies: (vars, edges, incidences).
-        let mut tally: std::collections::HashMap<usize, (usize, usize, usize)> =
-            std::collections::HashMap::new();
-        let mut touched = vec![false; node_count];
-        for e in free {
-            let (s, d) = (e.src.index(), e.dst.index());
-            for v in [s, d] {
-                if !touched[v] {
-                    touched[v] = true;
-                    tally.entry(find(&mut eparent, v)).or_default().0 += 1;
-                }
-            }
-            let t = tally.entry(find(&mut eparent, s)).or_default();
-            t.1 += 1;
-            t.2 += if s == d { 1 } else { 2 };
-        }
-        let mut cyclic_var = vec![false; node_count];
-        let mut cyclic_components = 0usize;
-        let mut cyclic_roots: Vec<usize> = Vec::new();
-        for (&root, &(vars, edges, inc)) in &tally {
-            if inc > vars + edges - 1 {
-                cyclic_components += 1;
-                cyclic_roots.push(root);
-            }
-        }
-        for v in &var_order {
-            if touched[v.index()] && cyclic_roots.contains(&find(&mut eparent, v.index())) {
-                cyclic_var[v.index()] = true;
-            }
-        }
-        // Tree components: full constraint-graph components (groups
-        // included) whose edges close no cycle.
-        let mut comp_roots: Vec<usize> = Vec::new();
-        let mut cyclic_full: Vec<usize> = Vec::new();
-        for v in &var_order {
-            let r = find(&mut parent, v.index());
-            if !comp_roots.contains(&r) {
-                comp_roots.push(r);
-            }
-            if cyclic_var[v.index()] && !cyclic_full.contains(&r) {
-                cyclic_full.push(r);
-            }
-        }
-        let tree_components = comp_roots.len() - cyclic_full.len();
-
         Self {
             edge_cost,
             group_cost,
             var_order,
             seed_rank,
-            last_use,
             prefix_len,
-            cyclic_var,
-            cyclic_components,
-            tree_components,
         }
     }
 
@@ -639,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn projection_split_and_last_use() {
+    fn projection_split() {
         let db = skewed_db();
         // a-edge (cheap) leads and places its output variable first:
         // order [2, 1, 0]. Output {2}: prefix [2], suffix [1, 0].
@@ -648,64 +516,13 @@ mod tests {
         assert_eq!(plan.var_order, vec![NodeVar(2), NodeVar(1), NodeVar(0)]);
         assert_eq!(plan.prefix_len, 1);
         assert_eq!(plan.existential_vars(), 2);
-        // Variable 1 is used by both edges; its last use is the position at
-        // which the later-ordered edge (0–1) becomes fully bound, i.e. the
-        // rank of variable 0.
-        assert_eq!(plan.last_use[1], plan.seed_rank[0]);
-        // The a-edge is fully bound once variable 1 (its higher-ranked
-        // endpoint) is.
-        assert_eq!(plan.last_use[2], plan.seed_rank[1]);
-        assert_eq!(plan.last_use[3], usize::MAX); // in no constraint
+        assert_eq!(plan.seed_rank[3], usize::MAX); // in no constraint
 
         // Boolean (empty output): the whole order is existential.
         let free2 = vec![edge(&db, 0, 1, "b+")];
         let plan2 = SolvePlan::build(2, &free2, &[], &[], &[], &db);
         assert_eq!(plan2.prefix_len, 0);
         assert_eq!(plan2.existential_vars(), 2);
-    }
-
-    #[test]
-    fn cycle_rank_classifies_components() {
-        let db = skewed_db();
-        // Triangle {0,1,2} + pendant chain 2–3: one cyclic component.
-        let free = vec![
-            edge(&db, 0, 1, "a"),
-            edge(&db, 1, 2, "b"),
-            edge(&db, 2, 0, "b"),
-            edge(&db, 2, 3, "a"),
-        ];
-        let plan = SolvePlan::build(4, &free, &[], &[], &[], &db);
-        assert_eq!(plan.cyclic_components, 1);
-        assert_eq!(plan.tree_components, 0);
-        assert!(plan.cyclic_var.iter().take(4).all(|&c| c));
-
-        // Pure chain: a tree.
-        let free = vec![edge(&db, 0, 1, "a"), edge(&db, 1, 2, "b")];
-        let plan = SolvePlan::build(3, &free, &[], &[], &[], &db);
-        assert_eq!((plan.cyclic_components, plan.tree_components), (0, 1));
-        assert!(plan.cyclic_var.iter().all(|&c| !c));
-
-        // Parallel atoms over the same pair close an incidence cycle.
-        let free = vec![edge(&db, 0, 1, "a"), edge(&db, 0, 1, "b")];
-        let plan = SolvePlan::build(2, &free, &[], &[], &[], &db);
-        assert_eq!(plan.cyclic_components, 1);
-        assert!(plan.cyclic_var[0] && plan.cyclic_var[1]);
-
-        // A self-loop atom alone is not a cycle of the incidence graph.
-        let free = vec![edge(&db, 0, 0, "a")];
-        let plan = SolvePlan::build(1, &free, &[], &[], &[], &db);
-        assert_eq!((plan.cyclic_components, plan.tree_components), (0, 1));
-
-        // Mixed: triangle {0,1,2} plus a disjoint chain {3,4}.
-        let free = vec![
-            edge(&db, 0, 1, "a"),
-            edge(&db, 1, 2, "b"),
-            edge(&db, 2, 0, "b"),
-            edge(&db, 3, 4, "a"),
-        ];
-        let plan = SolvePlan::build(5, &free, &[], &[], &[], &db);
-        assert_eq!((plan.cyclic_components, plan.tree_components), (1, 1));
-        assert!(plan.cyclic_var[0] && !plan.cyclic_var[3] && !plan.cyclic_var[4]);
     }
 
     #[test]

@@ -580,12 +580,13 @@ pub fn reach_all_governed(
     out
 }
 
-/// Folded-multiply hasher for the `NodeId` keys of the pinned-pair search:
-/// a few instructions per key where SipHash costs tens, keyed once per
+/// Folded-multiply hasher for node-keyed maps — the pinned-pair search's
+/// slots, the [`ReachCache`] memos and the solver's projection dedup: a
+/// few instructions per key where SipHash costs tens, keyed once per
 /// process from the standard library's random state so that a crafted
-/// graph cannot aim the explored nodes at one bucket. The maps are only
-/// probed, never iterated, so the search order does not depend on the key.
-struct NodeHasher(u64);
+/// graph cannot aim the keys at one bucket. Every such map is only
+/// probed, never iterated, so no search order depends on the key.
+pub(crate) struct NodeHasher(u64);
 
 impl NodeHasher {
     fn mix(&mut self, v: u64) {
@@ -608,10 +609,24 @@ impl Hasher for NodeHasher {
     fn write_u32(&mut self, v: u32) {
         self.mix(u64::from(v));
     }
+
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.mix(v as u64);
+        self.mix((v >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
 }
 
+/// The [`BuildHasher`] of [`NodeHasher`].
 #[derive(Clone, Copy, Default)]
-struct NodeHashSeed;
+pub(crate) struct NodeHashSeed;
 
 impl BuildHasher for NodeHashSeed {
     type Hasher = NodeHasher;
@@ -970,11 +985,11 @@ pub struct ReachCache {
     uses_any: bool,
     generation: Option<u64>,
     /// Memoized rows per source (`fwd`) and per sink (`bwd`).
-    fwd: HashMap<NodeId, ReachRow>,
-    bwd: HashMap<NodeId, ReachRow>,
+    fwd: HashMap<NodeId, ReachRow, NodeHashSeed>,
+    bwd: HashMap<NodeId, ReachRow, NodeHashSeed>,
     /// Pinned-pair verdicts of [`ReachCache::connects_pair`]; invalidation
     /// rides the same label-aware `bind` as the fills.
-    pairs: HashMap<(NodeId, NodeId), bool>,
+    pairs: HashMap<(NodeId, NodeId), bool, NodeHashSeed>,
     /// Forward and reversed [`MaskSim`] tables of the pinned-pair search,
     /// each built the first time a search needs it.
     pair_fwd: Option<MaskSim>,
@@ -1009,9 +1024,9 @@ impl ReachCache {
             syms,
             uses_any,
             generation: None,
-            fwd: HashMap::new(),
-            bwd: HashMap::new(),
-            pairs: HashMap::new(),
+            fwd: HashMap::default(),
+            bwd: HashMap::default(),
+            pairs: HashMap::default(),
             pair_fwd: None,
             pair_bwd: None,
             sweep: SetSweep::default(),
@@ -1163,7 +1178,7 @@ impl ReachCache {
     }
 
     /// The row memo of one direction.
-    fn memo(&self, dir: Direction) -> &HashMap<NodeId, ReachRow> {
+    fn memo(&self, dir: Direction) -> &HashMap<NodeId, ReachRow, NodeHashSeed> {
         match dir {
             Direction::Forward => &self.fwd,
             Direction::Backward => &self.bwd,

@@ -33,32 +33,39 @@
 //!    ([`Domains::peel`]), and their edges start enumeration done; the
 //!    analyzer has already contracted degree-2 existential variables into
 //!    concatenated atoms in phase 0.
-//! 3. **Enumerate** — backtrack over the pruned domains in plan order,
-//!    checking fully bound constraints eagerly and extending along the
-//!    cheapest half-bound constraint; early-exit semantics (`on_solution`
+//! 3. **Enumerate** — bind variables one at a time in plan order, checking
+//!    fully bound constraints eagerly; early-exit semantics (`on_solution`
 //!    returning `true`) are unchanged.
 //!
-//! **Worst-case-optimal leapfrog intersection.** On *cyclic* constraint
-//! components (detected by the planner's cycle-rank classification — see
-//! [`crate::plan`]) binary extension is provably suboptimal: extending a
-//! triangle `x -a-> y -b-> z -c-> x` along one edge materializes every
-//! `(x, y, z)` wedge before the closing atom filters it. The enumerator
-//! therefore switches to a multiway sorted-set intersection when several
-//! pending constraints have already bound their other endpoint on the
-//! variable being extended: every such constraint contributes a sorted
-//! candidate set, the pruned domain joins as one more sorted set, and a
-//! leapfrog (seek-to-max) sweep with binary-search `seek_ge` emits exactly
-//! the common members — the candidates that *every* incident constraint
-//! supports — binding each and marking all participating constraints
-//! satisfied at once. Two iterator kinds feed the intersection: direct
-//! merged CSR [`EdgeRun`]s for atoms whose language is a set of
-//! single-symbol words (the database rows *are* their reach adjacency), and
-//! the [`ReachCache`]'s memoized reach rows (one per `(source, atom)`,
-//! ascending) for general regular-path atoms. [`Strategy`] selects
-//! the routing: `Auto` (cyclic components leapfrog, trees keep the plain
-//! backtracker), or a forced `Leapfrog`/`Backtrack` override for the
-//! differential suites. Governor checkpoints and projection-pushdown dedup
-//! carry over unchanged — a leapfrog binding is a binding like any other.
+//! **One candidate loop.** Outside the group step, every variable is bound
+//! by one routine, `Problem::extend`. Its *proposers* are the pending free
+//! edges whose other endpoint is already bound; each supports a sorted set
+//! of candidates for the variable, and binding a candidate they all
+//! support discharges all of them at once (they are marked done for the
+//! subtree). The candidate stream follows the number of proposers:
+//!
+//! - none (a seed, or a required variable no constraint mentions): the
+//!   pruned domain, or every node, in stripes that prewarm the pending
+//!   edges' caches;
+//! - one: its memoized reach row, filtered by the domain;
+//! - two or more: a worst-case-optimal leapfrog intersection. Binary
+//!   extension along one edge would materialize every `(x, y, z)` wedge of
+//!   a triangle `x -a-> y -b-> z -c-> x` before the closing atom filters
+//!   it; instead every proposer contributes its sorted set, the pruned
+//!   domain joins as one more, and a seek-to-max sweep with binary-search
+//!   `seek_ge` emits exactly the common members. Two set kinds feed it:
+//!   direct merged CSR [`EdgeRun`]s for atoms whose language is a set of
+//!   single-symbol words (the database rows *are* their reach adjacency),
+//!   and the [`ReachCache`]'s memoized rows (ascending) for general
+//!   regular-path atoms.
+//!
+//! Whether a core is cyclic is thus decided at run time, by how many bound
+//! constraints meet the variable being extended, not by a static
+//! classification. The naive reference ([`SolveOptions::naive`]) lets only
+//! the first half-bound edge in query-text order propose, which keeps it
+//! the historical binary backtracker. Governor checkpoints and
+//! projection-pushdown dedup are the same on every stream — an intersected
+//! binding is a binding like any other.
 //!
 //! **Projection pushdown** ([`SolveOptions::projected`]): when on, the
 //! `required` tuple is treated as an *output projection*. Variables outside
@@ -68,8 +75,9 @@
 //! sub-search) instead of backtracking over every completion, and emits
 //! each distinct projected tuple exactly once (deduplicated at the
 //! enumerator with packed-key sets, never by materializing full morphisms).
-//! When the last output variable is bound by the final pending constraint,
-//! the semi-joined candidate set itself is the witness: candidates are
+//! When the last output variable is bound and every pending constraint is
+//! one of its proposers, the candidate stream itself is the witness
+//! (after a leapfrog intersection too): candidates are
 //! emitted leaf-positioned with no sub-search at all. Boolean calls (empty
 //! output) are the degenerate case where *every* variable is existential —
 //! on satisfiable arc-consistent instances the enumerator then performs
@@ -84,13 +92,13 @@ use crate::evaluate::{Answer, Outcome, Request};
 use crate::governor::Governor;
 use crate::pattern::NodeVar;
 use crate::plan::{single_step_symbols, SolvePlan};
-use crate::reach::{Direction, ReachCache, ReachRow, ReachStats};
+use crate::reach::{Direction, NodeHashSeed, ReachCache, ReachRow, ReachStats};
 use crate::sync::{sync_sources_governed, sync_targets_governed, SyncSearch, SyncSpec};
 use crate::witness::{pin_tuple, QueryWitness};
 use cxrpq_automata::Nfa;
 use cxrpq_graph::{DenseBitSet, EdgeRun, GraphDb, NodeId, Symbol};
+use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// A single-walker constraint `(src) -L(M)-> (dst)`.
@@ -148,22 +156,6 @@ impl Group {
     }
 }
 
-/// Enumeration strategy for phase 3 (see the module docs' leapfrog
-/// section).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Strategy {
-    /// Route cyclic constraint components to the leapfrog multiway
-    /// intersection, keep trees on the plain backtracker.
-    #[default]
-    Auto,
-    /// Force the leapfrog intersection wherever several bound constraints
-    /// meet an unbound variable, cyclic or not (differential testing).
-    Leapfrog,
-    /// Never intersect multiway — the PR 5 binary-extension backtracker
-    /// (differential testing and the bench baseline).
-    Backtrack,
-}
-
 /// Knobs for [`Problem::solve_with`]: which pipeline phases run.
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
@@ -211,10 +203,6 @@ pub struct SolveOptions {
     /// guaranteed free of partially-filled entries. Read the verdict from
     /// the governor afterwards ([`Governor::verdict`]).
     pub governor: Option<Arc<Governor>>,
-    /// Enumeration strategy (see [`Strategy`]). Leapfrog routing needs the
-    /// plan's component classification, so under `plan: false` every
-    /// strategy degrades to the backtracker.
-    pub strategy: Strategy,
     /// A previously built [`SolvePlan`] to reuse instead of rebuilding in
     /// phase 1 (the [`crate::cache::QueryCache`] hit path). Only consulted
     /// on unpinned runs whose problem shape matches the seed (variable,
@@ -239,7 +227,6 @@ impl SolveOptions {
             analyze: true,
             containment_budget: Self::DEFAULT_CONTAINMENT_BUDGET,
             governor: None,
-            strategy: Strategy::Auto,
             plan_seed: None,
         }
     }
@@ -258,14 +245,15 @@ impl SolveOptions {
             analyze: true,
             containment_budget: Self::DEFAULT_CONTAINMENT_BUDGET,
             governor: None,
-            strategy: Strategy::Auto,
             plan_seed: None,
         }
     }
 
     /// The historical behavior: no planning, no pruning, no analysis,
-    /// query-text order. Retained as the reference path for differential
-    /// tests and the `e18_solver_pipeline` baseline.
+    /// query-text order, and only the first half-bound edge proposes
+    /// candidates (binary extension, never an intersection). Retained as
+    /// the reference path for differential tests and the
+    /// `e18_solver_pipeline` baseline.
     pub fn naive() -> Self {
         Self {
             plan: false,
@@ -276,7 +264,6 @@ impl SolveOptions {
             analyze: false,
             containment_budget: Self::DEFAULT_CONTAINMENT_BUDGET,
             governor: None,
-            strategy: Strategy::Backtrack,
             plan_seed: None,
         }
     }
@@ -302,14 +289,6 @@ impl SolveOptions {
     /// `SolveOptions::pipeline().governed(gov)`.
     pub fn governed(mut self, gov: Arc<Governor>) -> Self {
         self.governor = Some(gov);
-        self
-    }
-
-    /// Overrides the enumeration strategy (see [`Strategy`]); composes with
-    /// any preset, e.g.
-    /// `SolveOptions::pipeline().with_strategy(Strategy::Backtrack)`.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
         self
     }
 }
@@ -361,14 +340,8 @@ pub struct PipelineStats {
     /// Boolean instances (the existential fast path takes the first
     /// supported candidate at every level).
     pub backtrack_steps: usize,
-    /// Constraint components routed to the leapfrog multiway intersection
-    /// ([`Strategy`]): the cyclic components under `Auto`, every component
-    /// under `Leapfrog`, zero under `Backtrack` or without a plan.
-    pub leapfrog_components: usize,
-    /// Constraint components kept on the plain backtracker.
-    pub tree_components: usize,
     /// `seek_ge` probes issued by leapfrog intersections during
-    /// enumeration (0 when no variable took the leapfrog path).
+    /// enumeration (0 when no variable had two or more proposers).
     pub intersection_seeks: usize,
     /// The static analyzer's report (`None` when [`SolveOptions::analyze`]
     /// was off). A statically refuted query records `analysis` with
@@ -437,14 +410,11 @@ struct EnumCtx<'a> {
     /// The run's governor (the shared disabled one when ungoverned): one
     /// checkpoint per recursion node, candidate loops drain on a trip.
     gov: &'a Governor,
-    /// Per-variable: extend by leapfrog multiway intersection instead of
-    /// binary extension (empty = all backtrack, e.g. naive runs).
-    lf_vars: Vec<bool>,
     /// Per free edge: the accepted symbols when the atom's language is a
-    /// set of single-symbol words, so its candidate sets are direct CSR
+    /// set of single-symbol words, so its intersection sets are direct CSR
     /// runs ([`single_step_symbols`]); `None` routes through the memoized
-    /// reach rows. Only populated when some variable leapfrogs.
-    single_step: Vec<Option<Vec<Symbol>>>,
+    /// reach rows. Built by the first intersection.
+    single_step: OnceCell<Vec<Option<Vec<Symbol>>>>,
 }
 
 impl EnumCtx<'_> {
@@ -452,15 +422,14 @@ impl EnumCtx<'_> {
     fn admits(&self, v: NodeVar, n: NodeId) -> bool {
         self.domains.is_none_or(|d| d.contains(v, n))
     }
-
-    #[inline]
-    fn leapfrogs(&self, v: NodeVar) -> bool {
-        self.lf_vars.get(v.index()).copied().unwrap_or(false)
-    }
 }
 
+/// A pending free edge whose other endpoint is bound: `(edge, forward,
+/// from)`, where `forward` says the edge runs from `from` to the variable.
+type Proposer = (usize, bool, NodeId);
+
 /// One sorted ascending candidate set of a leapfrog intersection, with a
-/// monotone `seek_ge` cursor (see the module docs' leapfrog section).
+/// monotone `seek_ge` cursor (see the module docs).
 enum SortedSet<'a> {
     /// A single-step atom's candidates straight off the CSR: one merged
     /// base+delta run per accepted symbol, each `(label, neighbour)`-sorted
@@ -493,58 +462,112 @@ impl SortedSet<'_> {
     }
 }
 
-/// A multiply–rotate hasher for the projection dedup sets: keys are either
-/// exact packed integers (arity ≤ 4) or short node-id slices, probed once
-/// per enumeration leaf, so a few-ns mix beats SipHash by an order of
-/// magnitude on the hot shapes.
-struct ProjHasher(u64);
-
-impl ProjHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
+/// The candidate stream of one `Problem::extend` call, by the number of
+/// proposers; every stream is ascending in node order.
+enum Candidates<'a> {
+    /// No proposer: the pruned domain, or every node, one [`SEED_BATCH`]
+    /// stripe at a time.
+    Sweep {
+        nodes: Box<dyn Iterator<Item = NodeId> + 'a>,
+        stripe: Vec<NodeId>,
+        pos: usize,
+        stripes: usize,
+    },
+    /// One proposer: its memoized row, filtered by the domain.
+    Row(ReachRow, usize),
+    /// Two or more: the leapfrog over their sets and the domain's. `hi`
+    /// is the frontier (`None` once exhausted), `idx` the set to seek
+    /// next.
+    Leapfrog {
+        sets: Vec<SortedSet<'a>>,
+        hi: Option<NodeId>,
+        idx: usize,
+    },
 }
 
-impl Hasher for ProjHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^ (h >> 33)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(b as u64);
+impl Candidates<'_> {
+    /// The next candidate for `var`. A sweep prewarms, from its second
+    /// stripe on, the cache of every pending free edge at `var` with one
+    /// batched wavefront per stripe, so the `connects`/`targets` calls the
+    /// recursion makes after binding `var` are memo hits. The first stripe
+    /// stays per-source — a call that succeeds among the first candidates
+    /// (the common early exit) then never pays for a wavefront — and on
+    /// long-diameter graphs the prune probe's verdict skips the prewarm
+    /// entirely. An intersection counts its seeks and checkpoints once per
+    /// 64 of them, so governed runs drain mid-intersection too.
+    fn next(
+        &mut self,
+        var: NodeVar,
+        db: &GraphDb,
+        ctx: &EnumCtx<'_>,
+        edges: &mut [FreeEdge],
+        st: &mut EnumState,
+    ) -> Option<NodeId> {
+        match self {
+            Candidates::Sweep {
+                nodes,
+                stripe,
+                pos,
+                stripes,
+            } => {
+                if *pos == stripe.len() {
+                    stripe.clear();
+                    stripe.extend(nodes.by_ref().take(SEED_BATCH));
+                    *pos = 0;
+                    if stripe.is_empty() {
+                        return None;
+                    }
+                    if *stripes > 0 && !ctx.per_source_sweeps {
+                        for (e, _) in edges.iter_mut().zip(&st.edge_done).filter(|(_, d)| !**d) {
+                            if e.src == var {
+                                e.cache.fill(db, stripe, Direction::Forward, false);
+                            }
+                            if e.dst == var {
+                                e.cache.fill(db, stripe, Direction::Backward, false);
+                            }
+                        }
+                    }
+                    *stripes += 1;
+                }
+                let n = stripe.get(*pos).copied();
+                *pos += 1;
+                n
+            }
+            Candidates::Row(row, pos) => {
+                while let Some(&c) = row.get(*pos) {
+                    *pos += 1;
+                    if ctx.admits(var, c) {
+                        return Some(c);
+                    }
+                }
+                None
+            }
+            Candidates::Leapfrog { sets, hi, idx } => {
+                let mut frontier = (*hi)?;
+                let mut matched = 0;
+                while matched < sets.len() {
+                    if st.seeks.is_multiple_of(64) && !ctx.gov.checkpoint() {
+                        *hi = None;
+                        return None;
+                    }
+                    st.seeks += 1;
+                    let Some(n) = sets[*idx].seek_ge(frontier) else {
+                        *hi = None;
+                        return None;
+                    };
+                    if n == frontier {
+                        matched += 1;
+                    } else {
+                        frontier = n;
+                        matched = 1;
+                    }
+                    *idx = (*idx + 1) % sets.len();
+                }
+                // `frontier` is in every candidate set (and the domain).
+                *hi = frontier.0.checked_add(1).map(NodeId);
+                Some(frontier)
+            }
         }
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(v as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-    #[inline]
-    fn write_u128(&mut self, v: u128) {
-        self.mix(v as u64);
-        self.mix((v >> 64) as u64);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-}
-
-#[derive(Clone, Default)]
-struct BuildProjHasher;
-
-impl BuildHasher for BuildProjHasher {
-    type Hasher = ProjHasher;
-    fn build_hasher(&self) -> ProjHasher {
-        ProjHasher(0x9e37_79b9_7f4a_7c15)
     }
 }
 
@@ -552,16 +575,16 @@ impl BuildHasher for BuildProjHasher {
 /// `u32` node ids into one `u128` (collision-free), wider tuples fall back
 /// to boxed slices (probed without allocating via `Borrow<[NodeId]>`).
 enum ProjSeen {
-    Small(HashSet<u128, BuildProjHasher>),
-    Wide(HashSet<Box<[NodeId]>, BuildProjHasher>),
+    Small(HashSet<u128, NodeHashSeed>),
+    Wide(HashSet<Box<[NodeId]>, NodeHashSeed>),
 }
 
 impl ProjSeen {
     fn new(arity: usize) -> Self {
         if arity <= 4 {
-            Self::Small(HashSet::with_hasher(BuildProjHasher))
+            Self::Small(HashSet::default())
         } else {
-            Self::Wide(HashSet::with_hasher(BuildProjHasher))
+            Self::Wide(HashSet::default())
         }
     }
 }
@@ -619,75 +642,43 @@ impl EnumState {
         self.bindings[v.index()] = None;
     }
 
-    /// Packs the current projection (all required variables are bound when
-    /// this is called) into the small-arity key. The leading 1 bit
-    /// distinguishes shorter tuples from zero-padded longer ones at
-    /// arities ≤ 3; at arity 4 the four 32-bit ids fill the `u128` exactly
-    /// and the sentinel shifts out, which is still collision-free because
-    /// every key of one run has the same arity — the seen-set never mixes
-    /// arities. (Raising the small-arity bound past 4 would truncate ids;
-    /// `ProjSeen::new` gates on it.)
-    #[inline]
-    fn proj_key(&self) -> u128 {
-        let mut key = 1u128;
-        for v in &self.required {
-            let n = self.bindings[v.index()].expect("projection variable bound");
-            key = (key << 32) | n.0 as u128;
-        }
-        key
-    }
-
-    /// Fills the wide-arity probe buffer with the current projection.
-    fn fill_proj_buf(&mut self) {
-        self.proj_buf.clear();
-        for i in 0..self.required.len() {
-            let v = self.required[i];
-            self.proj_buf
-                .push(self.bindings[v.index()].expect("projection variable bound"));
-        }
-    }
-
-    /// Whether the current projection was already emitted.
-    fn seen_contains(&mut self) -> bool {
-        match &self.seen {
-            ProjSeen::Small(_) => {
-                let key = self.proj_key();
-                let ProjSeen::Small(s) = &self.seen else {
-                    unreachable!()
-                };
-                s.contains(&key)
-            }
-            ProjSeen::Wide(_) => {
-                self.fill_proj_buf();
-                let ProjSeen::Wide(s) = &self.seen else {
-                    unreachable!()
-                };
-                s.contains(self.proj_buf.as_slice())
-            }
-        }
-    }
-
-    /// Marks the current projection emitted; returns `true` when it was
-    /// new.
-    fn seen_insert(&mut self) -> bool {
-        match &self.seen {
-            ProjSeen::Small(_) => {
-                let key = self.proj_key();
-                let ProjSeen::Small(s) = &mut self.seen else {
-                    unreachable!()
-                };
-                s.insert(key)
-            }
-            ProjSeen::Wide(_) => {
-                self.fill_proj_buf();
-                let ProjSeen::Wide(s) = &mut self.seen else {
-                    unreachable!()
-                };
-                if s.contains(self.proj_buf.as_slice()) {
-                    false
+    /// Whether the current projection (all required variables are bound
+    /// when this is called) was already emitted; with `insert`, it is
+    /// marked emitted as well. Small arities pack the ids into one `u128`
+    /// key: the leading 1 bit distinguishes shorter tuples from
+    /// zero-padded longer ones at arities ≤ 3; at arity 4 the four 32-bit
+    /// ids fill the `u128` exactly and the sentinel shifts out, which is
+    /// still collision-free because every key of one run has the same
+    /// arity — the seen-set never mixes arities. (Raising the small-arity
+    /// bound past 4 would truncate ids; `ProjSeen::new` gates on it.)
+    fn probe_seen(&mut self, insert: bool) -> bool {
+        let Self {
+            seen,
+            required,
+            bindings,
+            proj_buf,
+            ..
+        } = self;
+        let node = |v: &NodeVar| bindings[v.index()].expect("projection variable bound");
+        match seen {
+            ProjSeen::Small(s) => {
+                let key = required
+                    .iter()
+                    .fold(1u128, |key, v| (key << 32) | node(v).0 as u128);
+                if insert {
+                    !s.insert(key)
                 } else {
-                    s.insert(self.proj_buf.clone().into_boxed_slice())
+                    s.contains(&key)
                 }
+            }
+            ProjSeen::Wide(s) => {
+                proj_buf.clear();
+                proj_buf.extend(required.iter().map(node));
+                let hit = s.contains(proj_buf.as_slice());
+                if insert && !hit {
+                    s.insert(proj_buf.as_slice().into());
+                }
+                hit
             }
         }
     }
@@ -1108,30 +1099,6 @@ impl Problem {
         // One base stats value per plan; the prune branch patches in the
         // fixpoint outcome (including its per-source verdict — the `move`
         // capture of the probe value only feeds the prune-skipped branch).
-        // Strategy routing: which variables extend by leapfrog multiway
-        // intersection. `Auto` follows the plan's cycle-rank verdict;
-        // forced overrides flip every constrained variable one way. The
-        // naive path (no plan) has no component map and always backtracks.
-        let (lf_vars, leapfrog_components, tree_components) = match (&plan, opts.strategy) {
-            (Some(p), Strategy::Auto) if opts.plan => {
-                (p.cyclic_var.clone(), p.cyclic_components, p.tree_components)
-            }
-            (Some(p), Strategy::Leapfrog) if opts.plan => (
-                p.seed_rank.iter().map(|&r| r != usize::MAX).collect(),
-                p.cyclic_components + p.tree_components,
-                0,
-            ),
-            (Some(p), _) => (Vec::new(), 0, p.cyclic_components + p.tree_components),
-            (None, _) => (Vec::new(), 0, 0),
-        };
-        let single_step: Vec<Option<Vec<Symbol>>> = if lf_vars.contains(&true) {
-            self.free_edges
-                .iter()
-                .map(|e| single_step_symbols(e.cache.nfa()))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let base_stats = move |p: &SolvePlan| PipelineStats {
             var_order: if opts.plan {
                 p.var_order.clone()
@@ -1148,8 +1115,6 @@ impl Problem {
             narrowed_vars: 0,
             eliminated_vars,
             backtrack_steps: 0,
-            leapfrog_components,
-            tree_components,
             intersection_seeks: 0,
             analysis: None,
             plan_artifact: Some(Arc::new(p.clone())),
@@ -1240,8 +1205,7 @@ impl Problem {
             domains: domains.as_ref(),
             per_source_sweeps,
             gov,
-            lf_vars,
-            single_step,
+            single_step: OnceCell::new(),
         };
         let mut is_output = vec![false; self.node_count];
         for v in required {
@@ -1312,7 +1276,7 @@ impl Problem {
         // which the prefix backtracks without enumerating further
         // completions.
         if st.project && !st.existential && st.unbound_outputs == 0 {
-            if st.dedup_needed && st.seen_contains() {
+            if st.dedup_needed && st.probe_seen(false) {
                 // Redundancy pruned in O(1), not wasted search: the parent
                 // loops must not book this retraction as a backtrack.
                 st.progress += 1;
@@ -1323,7 +1287,7 @@ impl Problem {
             st.existential = false;
             if witnessed {
                 if st.dedup_needed {
-                    st.seen_insert();
+                    st.probe_seen(true);
                     ctx.gov.charge_mem(32); // dedup-table growth (approx.)
                 }
                 st.progress += 1;
@@ -1381,9 +1345,9 @@ impl Problem {
                 return r;
             }
         }
-        // 3. Extend along a half-bound free edge — the cheapest one when a
-        // plan is present, the first in query-text order otherwise (the
-        // naive reference path).
+        // 3. Extend the unbound end of a half-bound free edge — the
+        // cheapest one when a plan is present, the first in query-text
+        // order otherwise (the naive reference path).
         let mut half: Option<usize> = None;
         for (i, (e, done)) in self.free_edges.iter().zip(st.edge_done.iter()).enumerate() {
             if *done {
@@ -1401,132 +1365,31 @@ impl Problem {
             }
         }
         if let Some(i) = half {
-            let (src, dst) = (self.free_edges[i].src, self.free_edges[i].dst);
-            let (bs, bd) = (st.bindings[src.index()], st.bindings[dst.index()]);
-            let var = if bs.is_some() { dst } else { src };
-            // Worst-case-optimal routing: when `var` lies in a leapfrog
-            // component and two or more pending constraints have already
-            // bound their other endpoint on it, intersect all their sorted
-            // candidate sets at once instead of extending along one edge
-            // and filtering with the rest (which materializes every wedge
-            // of a cyclic core). With a single incident bound constraint
-            // the intersection degenerates to the plain extension below.
-            if ctx.leapfrogs(var) {
-                let mut parts: Vec<(usize, bool, NodeId)> = Vec::new();
-                for (j, (e, done)) in self.free_edges.iter().zip(st.edge_done.iter()).enumerate() {
-                    if *done || e.src == e.dst {
-                        continue;
-                    }
-                    if e.dst == var {
-                        if let Some(u) = st.bindings[e.src.index()] {
-                            parts.push((j, true, u));
-                        }
-                    } else if e.src == var {
-                        if let Some(u) = st.bindings[e.dst.index()] {
-                            parts.push((j, false, u));
-                        }
-                    }
-                }
-                if parts.len() >= 2 {
-                    return self.leapfrog_extend(db, ctx, st, var, &parts, on_solution);
-                }
-            }
-            // Terminal projection leaf: binding `var` completes the output
-            // tuple and nothing else is pending, so every admitted
-            // candidate is its own existential witness — the semi-joined
-            // candidate set is emitted directly, in the row's node order,
-            // with no sub-search.
-            let terminal = st.project
-                && !st.existential
-                && st.unbound_outputs == 1
-                && st.is_output[var.index()]
-                && st.group_done.iter().all(|d| *d)
-                && st.edge_done.iter().enumerate().all(|(j, d)| j == i || *d);
-            if terminal {
-                let row = self.free_edges[i].row(db, bs.or(bd).unwrap(), bs.is_some());
-                // Small-arity tuples with `var` at a single position pack
-                // against a hoisted key template: the per-candidate dedup
-                // probe is one shift-or plus a hash insert, and duplicate
-                // candidates never even bind.
-                let template = (st.dedup_needed
-                    && matches!(st.seen, ProjSeen::Small(_))
-                    && st.required.iter().filter(|v| **v == var).count() == 1)
-                    .then(|| {
-                        let pos = st.required.iter().position(|v| *v == var).unwrap();
-                        let shift = 32 * (st.required.len() - 1 - pos) as u32;
-                        let mut key = 1u128;
-                        for v in &st.required {
-                            let part = if *v == var {
-                                0
-                            } else {
-                                st.bindings[v.index()].expect("output bound").0 as u128
-                            };
-                            key = (key << 32) | part;
-                        }
-                        (key, shift)
-                    });
-                for &c in row.iter() {
-                    if ctx.gov.is_aborted() {
-                        return false; // drain: emitted tuples stand
-                    }
-                    if !ctx.admits(var, c) {
-                        continue;
-                    }
-                    let fresh = match (&template, st.dedup_needed) {
-                        (Some((key, shift)), _) => {
-                            let ProjSeen::Small(s) = &mut st.seen else {
-                                unreachable!("template implies small keys")
-                            };
-                            s.insert(key | ((c.0 as u128) << shift))
-                        }
-                        (None, true) => {
-                            st.bind(var, c);
-                            let fresh = st.seen_insert();
-                            st.unbind(var);
-                            fresh
-                        }
-                        (None, false) => true,
-                    };
-                    if fresh {
-                        if st.dedup_needed {
-                            ctx.gov.charge_mem(32); // dedup-table growth
-                        }
-                        st.bind(var, c);
-                        st.progress += 1;
-                        let stop = on_solution(&st.bindings);
-                        st.unbind(var);
-                        if stop {
-                            return true;
-                        }
-                    } else {
-                        st.progress += 1; // duplicate pruned, not wasted
-                    }
-                }
-                return false;
-            }
-            st.edge_done[i] = true;
-            let candidates = self.free_edges[i].row(db, bs.or(bd).unwrap(), bs.is_some());
-            for &c in candidates.iter() {
-                if ctx.gov.is_aborted() {
-                    break; // drain the candidate sweep
-                }
-                if !ctx.admits(var, c) {
+            let e = &self.free_edges[i];
+            let var = if st.bindings[e.src.index()].is_some() {
+                e.dst
+            } else {
+                e.src
+            };
+            // Every pending edge whose other end is bound proposes (a
+            // self-loop at `var` never does: its other end is `var`); the
+            // naive path keeps to the one edge it picked.
+            let mut proposers: Vec<Proposer> = Vec::new();
+            for (j, (e, done)) in self.free_edges.iter().zip(st.edge_done.iter()).enumerate() {
+                if *done || (ctx.plan.is_none() && j != i) {
                     continue;
                 }
-                st.bind(var, c);
-                let before = st.progress;
-                if self.recurse(db, ctx, st, on_solution) {
-                    st.unbind(var);
-                    st.edge_done[i] = false;
-                    return true;
+                if e.dst == var {
+                    if let Some(u) = st.bindings[e.src.index()] {
+                        proposers.push((j, true, u));
+                    }
+                } else if e.src == var {
+                    if let Some(u) = st.bindings[e.dst.index()] {
+                        proposers.push((j, false, u));
+                    }
                 }
-                if st.progress == before {
-                    st.backtracks += 1;
-                }
-                st.unbind(var);
             }
-            st.edge_done[i] = false;
-            return false;
+            return self.extend(db, ctx, st, var, &proposers, on_solution);
         }
         // 4. Extend along a group with one side fully bound.
         for i in 0..self.groups.len() {
@@ -1667,192 +1530,146 @@ impl Problem {
                 )
                 .find(|v| st.bindings[v.index()].is_none())
         };
-        if let Some(var) = seed_var {
-            // Sweep the candidate nodes (the pruned domain when phase 2
-            // ran, all database nodes otherwise) in stripe-sized chunks,
-            // prewarming the cache of every pending free edge touching
-            // `var` with one batched wavefront per chunk: the
-            // `connects`/`targets` calls the recursion makes after binding
-            // `var` are then memo hits. The first chunk stays per-source —
-            // a boolean/check call that succeeds among the first candidates
-            // (the common early exit) then never pays for a wavefront, and
-            // a sweep that gets past it batches everything from the second
-            // chunk on. On long-diameter graphs the prune probe's verdict
-            // carries over and the prewarm is skipped entirely (per-source
-            // sweeps happen lazily inside the recursion). Only the current
-            // chunk is ever materialized.
-            let mut candidates: Box<dyn Iterator<Item = NodeId> + '_> = match ctx.domains {
-                Some(d) => Box::new(d.iter(var)),
-                None => Box::new(db.nodes()),
-            };
-            let mut chunk: Vec<NodeId> = Vec::with_capacity(SEED_BATCH);
-            let mut chunk_idx = 0usize;
-            loop {
-                chunk.clear();
-                chunk.extend(candidates.by_ref().take(SEED_BATCH));
-                if chunk.is_empty() {
-                    break;
-                }
-                if chunk_idx > 0 && !ctx.per_source_sweeps {
-                    for (i, e) in self.free_edges.iter_mut().enumerate() {
-                        if st.edge_done[i] {
-                            continue;
-                        }
-                        if e.src == var {
-                            e.cache.fill(db, &chunk, Direction::Forward, false);
-                        }
-                        if e.dst == var {
-                            e.cache.fill(db, &chunk, Direction::Backward, false);
-                        }
-                    }
-                }
-                for &node in &chunk {
-                    if ctx.gov.is_aborted() {
-                        return false;
-                    }
-                    st.bind(var, node);
-                    let before = st.progress;
-                    if self.recurse(db, ctx, st, on_solution) {
-                        st.unbind(var);
-                        return true;
-                    }
-                    if st.progress == before {
-                        st.backtracks += 1;
-                    }
-                    st.unbind(var);
-                }
-                chunk_idx += 1;
-            }
-            return false;
-        }
-        // All constraints satisfied: bind required-but-unbound variables
-        // over their domains (a peeled leaf's neighbour keeps its sweep
-        // there).
-        let unbound_required = st
-            .required
-            .iter()
-            .find(|v| st.bindings[v.index()].is_none())
-            .copied();
-        if let Some(var) = unbound_required {
-            let candidates: Box<dyn Iterator<Item = NodeId> + '_> = match ctx.domains {
-                Some(d) => Box::new(d.iter(var)),
-                None => Box::new(db.nodes()),
-            };
-            for node in candidates {
-                if ctx.gov.is_aborted() {
-                    return false;
-                }
-                st.bind(var, node);
-                let before = st.progress;
-                if self.recurse(db, ctx, st, on_solution) {
-                    st.unbind(var);
-                    return true;
-                }
-                if st.progress == before {
-                    st.backtracks += 1;
-                }
-                st.unbind(var);
-            }
-            return false;
+        // 6. All constraints satisfied: bind required-but-unbound
+        // variables over their domains (a peeled leaf's neighbour keeps its
+        // sweep there).
+        let var = seed_var.or_else(|| {
+            st.required
+                .iter()
+                .find(|v| st.bindings[v.index()].is_none())
+                .copied()
+        });
+        if let Some(var) = var {
+            return self.extend(db, ctx, st, var, &[], on_solution);
         }
         st.progress += 1;
         on_solution(&st.bindings)
     }
 
-    /// Extends `var` by leapfrog multiway intersection. Each `parts` entry
-    /// `(edge, forward, from)` is a pending constraint whose other endpoint
-    /// is bound to `from`; it contributes the sorted set of `var`-candidates
-    /// it supports — a direct CSR run union for single-step atoms, the
-    /// memoized reach row otherwise — and the pruned domain
-    /// joins as one more set. The sweep seeks every set to the running
-    /// maximum (binary-search `seek_ge`, counted in
-    /// [`PipelineStats::intersection_seeks`]); a value all `k` sets agree
-    /// on is a candidate every incident constraint supports, so binding it
-    /// discharges all participating edges at once — they are marked done
-    /// for the subtree and restored on the way out. Early-exit, progress
-    /// accounting and governor drains mirror the binary extension path.
-    fn leapfrog_extend(
+    /// Binds `var` to each candidate its `proposers` all support, in
+    /// ascending node order, and searches below each (see the module docs'
+    /// candidate-loop section). The proposers' edges are marked done for
+    /// the subtree and restored on the way out. When `var` is the last
+    /// unbound output and nothing else is pending, every admitted
+    /// candidate is its own existential witness, so it is emitted directly
+    /// with no sub-search; small-arity tuples with `var` at a single
+    /// position then probe the dedup set against a hoisted key template.
+    fn extend(
         &mut self,
         db: &GraphDb,
         ctx: &EnumCtx<'_>,
         st: &mut EnumState,
         var: NodeVar,
-        parts: &[(usize, bool, NodeId)],
+        proposers: &[Proposer],
         on_solution: &mut dyn FnMut(&[Option<NodeId>]) -> bool,
     ) -> bool {
-        let mut sets: Vec<SortedSet<'_>> = Vec::with_capacity(parts.len() + 1);
-        for &(j, forward, from) in parts {
-            match ctx.single_step.get(j).and_then(|o| o.as_ref()) {
-                Some(syms) => {
-                    let runs = syms
+        let mut cands = match *proposers {
+            [] => Candidates::Sweep {
+                nodes: match ctx.domains {
+                    Some(d) => Box::new(d.iter(var)),
+                    None => Box::new(db.nodes()),
+                },
+                stripe: Vec::with_capacity(SEED_BATCH),
+                pos: 0,
+                stripes: 0,
+            },
+            [(j, forward, from)] => Candidates::Row(self.free_edges[j].row(db, from, forward), 0),
+            _ => {
+                let single_step = ctx.single_step.get_or_init(|| {
+                    self.free_edges
                         .iter()
-                        .map(|&a| {
-                            let run = if forward {
-                                db.successors_with(from, a)
-                            } else {
-                                db.predecessors_with(from, a)
-                            };
-                            (a, run)
-                        })
-                        .collect();
-                    sets.push(SortedSet::Runs(runs));
+                        .map(|e| single_step_symbols(e.cache.nfa()))
+                        .collect()
+                });
+                let mut sets: Vec<SortedSet<'_>> = Vec::with_capacity(proposers.len() + 1);
+                for &(j, forward, from) in proposers {
+                    sets.push(match &single_step[j] {
+                        Some(syms) => SortedSet::Runs(
+                            syms.iter()
+                                .map(|&a| {
+                                    let run = if forward {
+                                        db.successors_with(from, a)
+                                    } else {
+                                        db.predecessors_with(from, a)
+                                    };
+                                    (a, run)
+                                })
+                                .collect(),
+                        ),
+                        None => SortedSet::Row(self.free_edges[j].row(db, from, forward), 0),
+                    });
                 }
-                None => sets.push(SortedSet::Row(self.free_edges[j].row(db, from, forward), 0)),
+                if let Some(d) = ctx.domains {
+                    sets.push(SortedSet::Bits(d.bits(var)));
+                }
+                Candidates::Leapfrog {
+                    sets,
+                    hi: Some(NodeId(0)),
+                    idx: 0,
+                }
             }
-        }
-        if let Some(d) = ctx.domains {
-            sets.push(SortedSet::Bits(d.bits(var)));
-        }
-        for &(j, ..) in parts {
+        };
+        for &(j, ..) in proposers {
             st.edge_done[j] = true;
         }
-        let k = sets.len();
-        let mut hi = NodeId(0);
-        let mut matched = 0usize;
-        let mut idx = 0usize;
+        let terminal = st.project
+            && !st.existential
+            && st.unbound_outputs == 1
+            && st.is_output[var.index()]
+            && st.edge_done.iter().all(|d| *d)
+            && st.group_done.iter().all(|d| *d);
+        let template = (terminal
+            && st.dedup_needed
+            && matches!(st.seen, ProjSeen::Small(_))
+            && st.required.iter().filter(|v| **v == var).count() == 1)
+            .then(|| {
+                let pos = st.required.iter().position(|v| *v == var).unwrap();
+                let key = st.required.iter().fold(1u128, |key, v| {
+                    let n = if *v == var {
+                        0
+                    } else {
+                        st.bindings[v.index()].expect("output bound").0
+                    };
+                    (key << 32) | n as u128
+                });
+                (key, 32 * (st.required.len() - 1 - pos) as u32)
+            });
         let mut hit = false;
-        loop {
-            // Seeks are cheap but unbounded in count: checkpoint one per
-            // stripe so governed runs drain mid-intersection too.
-            if st.seeks.is_multiple_of(64) && !ctx.gov.checkpoint() {
-                break;
-            }
-            st.seeks += 1;
-            let Some(n) = sets[idx].seek_ge(hi) else {
-                break;
-            };
-            if n == hi {
-                matched += 1;
-            } else {
-                hi = n;
-                matched = 1;
-            }
-            idx = (idx + 1) % k;
-            if matched < k {
-                continue;
-            }
-            // `hi` is in every candidate set (and the pruned domain).
+        while let Some(c) = cands.next(var, db, ctx, &mut self.free_edges, st) {
             if ctx.gov.is_aborted() {
                 break; // drain: emitted tuples stand
             }
-            st.bind(var, hi);
+            st.bind(var, c);
             let before = st.progress;
-            let stop = self.recurse(db, ctx, st, on_solution);
-            if !stop && st.progress == before {
+            hit = if terminal {
+                // A duplicate is pruned, not wasted: it counts as progress.
+                st.progress += 1;
+                let fresh = match (template, st.dedup_needed) {
+                    (Some((key, shift)), _) => {
+                        let ProjSeen::Small(s) = &mut st.seen else {
+                            unreachable!("template implies small keys")
+                        };
+                        s.insert(key | ((c.0 as u128) << shift))
+                    }
+                    (None, true) => !st.probe_seen(true),
+                    (None, false) => true,
+                };
+                if fresh && st.dedup_needed {
+                    ctx.gov.charge_mem(32); // dedup-table growth
+                }
+                fresh && on_solution(&st.bindings)
+            } else {
+                self.recurse(db, ctx, st, on_solution)
+            };
+            if !hit && st.progress == before {
                 st.backtracks += 1;
             }
             st.unbind(var);
-            if stop {
-                hit = true;
+            if hit {
                 break;
             }
-            matched = 0;
-            let Some(next) = hi.0.checked_add(1) else {
-                break;
-            };
-            hi = NodeId(next);
         }
-        for &(j, ..) in parts {
+        for &(j, ..) in proposers {
             st.edge_done[j] = false;
         }
         hit

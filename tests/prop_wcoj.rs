@@ -1,22 +1,22 @@
 //! Differential property suite for the worst-case-optimal leapfrog
 //! enumeration of cyclic query cores.
 //!
-//! For random CRPQs over the classic cyclic shapes — triangles, diamonds
-//! (4-cycles), 4-cliques, and mixed tree+cycle patterns — and for simple
-//! CXRPQs whose free-edge core is cyclic, the leapfrog intersection
-//! ([`Strategy::Auto`] routing and forced [`Strategy::Leapfrog`]) must
-//! return answer relations byte-for-byte identical to the forced
-//! backtracker ([`Strategy::Backtrack`]) and the naive reference path, in
-//! both full and projection-pushdown enumeration, and must agree on
-//! `boolean()`. Deterministic cases additionally pin the routing stats
-//! (cyclic cores go to leapfrog, forced backtrack performs zero
-//! intersection seeks) and drive governed aborts through the leapfrog
-//! loop: a run tripped mid-intersection yields a sound partial
-//! under-approximation and leaves no stale state behind.
+//! The enumerator intersects wherever two or more bound constraints meet
+//! the variable it extends. For random CRPQs over the classic cyclic
+//! shapes — triangles, diamonds (4-cycles), 4-cliques, and mixed
+//! tree+cycle patterns — and for simple CXRPQs whose free-edge core is
+//! cyclic, the pipeline must return answer relations byte-for-byte
+//! identical to the naive reference path (the binary backtracker, where
+//! only one edge proposes), in both full and projection-pushdown
+//! enumeration, and must agree on early-exit `boolean()`. Deterministic
+//! cases additionally check that cyclic cores and trees with a doubly
+//! bound middle variable really intersect, and drive governed aborts
+//! through the leapfrog loop: a run tripped mid-intersection yields a
+//! sound partial under-approximation and leaves no stale state behind.
 
 use cxrpq::core::{
     AbortReason, Crpq, CrpqEvaluator, Cxrpq, Evaluate, Governor, GraphPattern, Outcome,
-    PipelineStats, Request, SimpleEvaluator, SolveOptions, Strategy,
+    PipelineStats, Request, SimpleEvaluator, SolveOptions,
 };
 use cxrpq::graph::{Alphabet, NodeId};
 use cxrpq::workloads::graphs::random_labeled;
@@ -31,46 +31,37 @@ use std::sync::Arc;
 /// and let release runs explore more of the space.
 const CASES: u32 = if cfg!(debug_assertions) { 8 } else { 32 };
 
-type Solve<'a> = dyn Fn(&SolveOptions) -> Outcome + 'a;
+type Solve<'a> = dyn Fn(Request<'_>, &SolveOptions) -> Outcome + 'a;
 
 /// The answer relation and pipeline stats of an `Answers` run.
 fn split(out: Outcome) -> (BTreeSet<Vec<NodeId>>, Option<PipelineStats>) {
     (out.value.into_tuples(), out.pipeline)
 }
 
-/// Asserts that every strategy agrees with the naive reference — full and
-/// projected — and that the forced backtracker never seeks. Returns the
-/// Auto-routed pipeline stats for shape-specific assertions.
-fn assert_strategies_agree(solve: &Solve) -> PipelineStats {
-    let (reference, _) = split(solve(&SolveOptions::naive()));
-    let auto = SolveOptions::pipeline();
-    let back = SolveOptions::pipeline().with_strategy(Strategy::Backtrack);
-    let leap = SolveOptions::pipeline().with_strategy(Strategy::Leapfrog);
+/// Asserts that the pipeline agrees with the naive reference: the answer
+/// relation full and projected, and the early-exit Boolean verdict with
+/// and without projection.
+fn assert_agrees_with_naive(solve: &Solve) {
+    let (reference, _) = split(solve(Request::Answers, &SolveOptions::naive()));
+    let (full, _) = split(solve(Request::Answers, &SolveOptions::pipeline()));
+    assert_eq!(reference, full, "the pipeline changed the answers");
+    let (projected, _) = split(solve(
+        Request::Answers,
+        &SolveOptions::pipeline().projected(),
+    ));
+    assert_eq!(reference, projected, "projection pushdown diverged");
 
-    let (ans_auto, stats) = split(solve(&auto));
-    assert_eq!(reference, ans_auto, "auto strategy changed the answers");
-    let (ans_back, back_stats) = split(solve(&back));
-    assert_eq!(reference, ans_back, "forced backtrack changed the answers");
-    let (ans_leap, _) = split(solve(&leap));
-    assert_eq!(reference, ans_leap, "forced leapfrog changed the answers");
-    assert_eq!(
-        back_stats
-            .as_ref()
-            .expect("planned runs report stats")
-            .intersection_seeks,
-        0,
-        "forced backtrack must not perform intersection seeks"
-    );
-
-    for opts in [auto, back, leap] {
-        let strategy = opts.strategy;
-        let (projected, _) = split(solve(&opts.projected()));
-        assert_eq!(
-            reference, projected,
-            "projection pushdown diverged under {strategy:?}"
-        );
+    let naive = solve(Request::Boolean, &SolveOptions::naive())
+        .value
+        .into_bool();
+    assert_eq!(naive, !reference.is_empty());
+    for opts in [
+        SolveOptions::early_exit(),
+        SolveOptions::early_exit().projected(),
+    ] {
+        let verdict = solve(Request::Boolean, &opts).value.into_bool();
+        assert_eq!(naive, verdict, "early-exit boolean diverged");
     }
-    stats.expect("planned runs report stats")
 }
 
 /// A graph pattern with the given `(src, dst)` atoms over `vars` node
@@ -89,16 +80,8 @@ fn shaped_pattern(
 }
 
 /// Builds a CRPQ with the given shape and output variables, then runs the
-/// full strategy-agreement harness against a random multigraph. Returns
-/// the Auto stats only when the analyzer left the constraint graph intact
-/// — a dropped subsumed atom or a merged variable pair legitimately breaks
-/// the cycle before planning, so shape assertions would be wrong there.
-fn check_shape(
-    seed: u64,
-    vars: usize,
-    atoms: &[(usize, usize)],
-    outs: &[usize],
-) -> Option<PipelineStats> {
+/// naive-agreement harness against a random multigraph.
+fn check_shape(seed: u64, vars: usize, atoms: &[(usize, usize)], outs: &[usize]) {
     let mut rng = StdRng::seed_from_u64(seed);
     let alpha = Arc::new(Alphabet::from_chars("ab"));
     let db = random_labeled(alpha, 5, 14, seed ^ 0x0c03);
@@ -109,12 +92,7 @@ fn check_shape(
         .collect();
     let q = Crpq::new(pattern, outputs);
     let ev = CrpqEvaluator::new(&q);
-    let stats = assert_strategies_agree(&|o| ev.run(&db, Request::Answers, o));
-    let intact = stats
-        .analysis
-        .as_ref()
-        .is_none_or(|r| r.stats.atoms_dropped == 0 && r.stats.vars_merged == 0 && !r.stats.unsat);
-    intact.then_some(stats)
+    assert_agrees_with_naive(&|r, o| ev.run(&db, r, o));
 }
 
 const TRIANGLE: &[(usize, usize)] = &[(0, 1), (1, 2), (2, 0)];
@@ -128,53 +106,34 @@ proptest! {
 
     #[test]
     fn triangle_strategies_agree(seed in 0u64..100_000) {
-        if let Some(stats) = check_shape(seed, 3, TRIANGLE, &[0, 1]) {
-            prop_assert_eq!(stats.leapfrog_components, 1);
-            prop_assert_eq!(stats.tree_components, 0);
-        }
+        check_shape(seed, 3, TRIANGLE, &[0, 1]);
     }
 
     #[test]
     fn diamond_strategies_agree(seed in 0u64..100_000) {
-        if let Some(stats) = check_shape(seed, 4, DIAMOND, &[0, 2]) {
-            prop_assert_eq!(stats.leapfrog_components, 1);
-            prop_assert_eq!(stats.tree_components, 0);
-        }
+        check_shape(seed, 4, DIAMOND, &[0, 2]);
     }
 
     #[test]
     fn clique4_strategies_agree(seed in 0u64..100_000) {
-        if let Some(stats) = check_shape(seed, 4, CLIQUE4, &[0, 3]) {
-            prop_assert_eq!(stats.leapfrog_components, 1);
-            prop_assert_eq!(stats.tree_components, 0);
-        }
+        check_shape(seed, 4, CLIQUE4, &[0, 3]);
     }
 
     #[test]
     fn mixed_tree_and_cycle_strategies_agree(seed in 0u64..100_000) {
-        // The pendant chain shares the triangle's full component, so the
-        // whole core counts as one cyclic component with no pure tree.
-        if let Some(stats) = check_shape(seed, 5, MIXED, &[0, 4]) {
-            prop_assert_eq!(stats.leapfrog_components, 1);
-            prop_assert_eq!(stats.tree_components, 0);
-        }
+        check_shape(seed, 5, MIXED, &[0, 4]);
     }
 
-    /// A cyclic core next to a disjoint chain: one leapfrog component, one
-    /// tree component, answers the cross product of the two.
+    /// A cyclic core next to a disjoint chain: answers are the cross
+    /// product of the two.
     #[test]
     fn disjoint_cycle_and_chain_strategies_agree(seed in 0u64..100_000) {
-        let atoms = &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)];
-        if let Some(stats) = check_shape(seed, 6, atoms, &[0, 3]) {
-            prop_assert_eq!(stats.leapfrog_components, 1);
-            prop_assert_eq!(stats.tree_components, 1);
-        }
+        check_shape(seed, 6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)], &[0, 3]);
     }
 
     /// Simple CXRPQs: string-variable atoms compile to groups plus middle
-    /// edges, so the free-edge core is typically a tree — the strategies
-    /// must still agree everywhere (forced leapfrog marks every constrained
-    /// variable eligible and must change nothing).
+    /// edges, so the free-edge core is typically a tree — the pipeline must
+    /// still agree with the naive path everywhere.
     #[test]
     fn simple_cxrpq_strategies_agree(seed in 0u64..100_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -189,14 +148,13 @@ proptest! {
         let alpha = Arc::new(Alphabet::from_chars("ab"));
         let db = random_labeled(alpha, 4, 10, seed ^ 0x51e9);
         let ev = SimpleEvaluator::new(&q).expect("generated queries are simple");
-        assert_strategies_agree(&|o| ev.run(&db, Request::Answers, o));
+        assert_agrees_with_naive(&|r, o| ev.run(&db, r, o));
     }
 }
 
 /// Deterministic instance dense enough that the triangle actually matches:
-/// pins the routing stats end to end — Auto performs real multiway seeks,
-/// forced backtrack reports the whole core as tree and never seeks — and
-/// checks `boolean()` agreement on top.
+/// the pipeline performs real multiway seeks, the naive path never seeks,
+/// and both agree on the answers and on `boolean()`.
 #[test]
 fn triangle_routes_to_leapfrog_and_counts_seeks() {
     let alpha = Arc::new(Alphabet::from_chars("abc"));
@@ -210,39 +168,51 @@ fn triangle_routes_to_leapfrog_and_counts_seeks() {
     .unwrap();
     let ev = CrpqEvaluator::new(&q);
 
-    let (auto_ans, stats) = split(ev.run(&db, Request::Answers, &SolveOptions::pipeline()));
-    let s = stats.expect("planned runs report stats");
-    assert_eq!(s.leapfrog_components, 1);
-    assert_eq!(s.tree_components, 0);
+    let (ans, stats) = split(ev.run(&db, Request::Answers, &SolveOptions::pipeline()));
     assert!(
-        s.intersection_seeks > 0,
+        stats.expect("planned runs report stats").intersection_seeks > 0,
         "a matching triangle must drive the leapfrog intersection"
     );
-
-    let back = SolveOptions::pipeline().with_strategy(Strategy::Backtrack);
-    let (back_ans, back_stats) = split(ev.run(&db, Request::Answers, &back));
-    assert_eq!(auto_ans, back_ans);
-    let bs = back_stats.unwrap();
-    assert_eq!(bs.leapfrog_components, 0);
-    assert_eq!(bs.intersection_seeks, 0);
-
-    let naive_ans = ev
-        .run(&db, Request::Answers, &SolveOptions::naive())
+    let naive = ev.run(&db, Request::Answers, &SolveOptions::naive());
+    assert!(naive.pipeline.is_none_or(|s| s.intersection_seeks == 0));
+    assert_eq!(ans, naive.value.into_tuples());
+    assert!(!ans.is_empty(), "vacuous instance: no triangle matched");
+    assert!(ev
+        .run(&db, Request::Boolean, &SolveOptions::early_exit())
         .value
-        .into_tuples();
-    assert_eq!(auto_ans, naive_ans);
-    assert!(
-        !auto_ans.is_empty(),
-        "vacuous instance: no triangle matched"
-    );
+        .into_bool());
+}
 
-    for opts in [
-        SolveOptions::early_exit(),
-        SolveOptions::early_exit().with_strategy(Strategy::Backtrack),
-        SolveOptions::early_exit().with_strategy(Strategy::Leapfrog),
-    ] {
-        assert!(ev.run(&db, Request::Boolean, &opts).value.into_bool());
+/// A tree whose middle variable `y` has bound edges to both pinned outputs
+/// intersects too: the choice follows the bound constraints at `y`, not a
+/// static cycle test. Without projection the analyzer contracts nothing,
+/// so `y` reaches the enumerator. Every pair's verdict must match the
+/// naive path's.
+#[test]
+fn tree_middle_variable_with_two_bound_edges_intersects() {
+    let alpha = Arc::new(Alphabet::from_chars("ab"));
+    let db = random_labeled(alpha, 12, 60, 3);
+    let mut a2 = db.alphabet().clone();
+    let q = Crpq::build(&[("x", "a+", "y"), ("y", "b", "z")], &["x", "z"], &mut a2).unwrap();
+    let ev = CrpqEvaluator::new(&q);
+    let mut seeks = 0;
+    let mut hits = 0;
+    for x in db.nodes() {
+        for z in db.nodes() {
+            let tuple = [x, z];
+            let out = ev.run(&db, Request::Check(&tuple), &SolveOptions::early_exit());
+            seeks += out
+                .pipeline
+                .expect("planned runs report stats")
+                .intersection_seeks;
+            let verdict = out.value.into_bool();
+            let naive = ev.run(&db, Request::Check(&tuple), &SolveOptions::naive());
+            assert_eq!(verdict, naive.value.into_bool(), "check({x:?}, {z:?})");
+            hits += usize::from(verdict);
+        }
     }
+    assert!(seeks > 0, "a doubly bound middle variable must intersect");
+    assert!(hits > 0, "vacuous instance: no pair matched");
 }
 
 /// Governed aborts through the leapfrog loop: trip the governor at every
@@ -261,7 +231,7 @@ fn leapfrog_aborts_are_sound() {
     )
     .unwrap();
     let ev = CrpqEvaluator::new(&q);
-    let leap = SolveOptions::pipeline().with_strategy(Strategy::Leapfrog);
+    let leap = SolveOptions::pipeline();
     let (complete, stats) = split(ev.run(&db, Request::Answers, &leap));
     assert!(
         stats.unwrap().intersection_seeks > 0,
