@@ -29,9 +29,9 @@
 //!   both eliminations off), interleaved sample by sample, recorded with
 //!   min/median/max;
 //!
-//! plus the **line** shape from e17's adversarial batching case, where the
-//! adaptive probe must route prune fills to per-source sweeps (asserted)
-//! and the middle variable makes naive enumeration morphism-cubic while
+//! plus the **line** shape from e17's adversarial batching case, where
+//! every reach row spans a long stretch of the chain and the middle
+//! variable makes naive enumeration morphism-cubic while
 //! the projected run deduplicates `(x, z)` at the enumerator, and
 //! **line_proj** — the same graph projected onto `x` alone, the extreme
 //! 1-of-N case. Every measurement is preceded by an equality assertion
@@ -127,7 +127,6 @@ struct ShapeResult {
     answers: usize,
     naive_ms: f64,
     pipeline_ms: f64,
-    per_source_sweeps: bool,
     eliminated_vars: usize,
     /// Variables the analyzer contracted away in phase 0.
     contracted_vars: usize,
@@ -214,7 +213,6 @@ fn run_shape(
         "{shape}: pipeline changed the answers"
     );
     let stats = piped_out.pipeline.as_ref();
-    let per_source_sweeps = stats.map(|s| s.per_source_sweeps).unwrap_or(false);
     let eliminated_vars = stats.map(|s| s.eliminated_vars).unwrap_or(0);
     let contracted_vars = stats
         .and_then(|s| s.analysis.as_ref())
@@ -263,7 +261,6 @@ fn run_shape(
         answers: ans_naive.len(),
         naive_ms,
         pipeline_ms,
-        per_source_sweeps,
         eliminated_vars,
         contracted_vars,
         peeled_vars,
@@ -426,8 +423,7 @@ fn main() {
             iters,
         ));
     }
-    // Line (e17's adversarial batching shape): the adaptive probe must
-    // route prune fills to per-source sweeps.
+    // Line (e17's adversarial batching shape): long rows on a long chain.
     {
         let alpha = Arc::new(Alphabet::from_chars("ab"));
         let m = 400 / scale;
@@ -439,10 +435,6 @@ fn main() {
             &[("x", "(ab)+", "y"), ("y", "(ab)+", "z")],
             &["x", "z"],
             iters,
-        );
-        assert!(
-            r.per_source_sweeps,
-            "line: the probe must pick per-source sweeps on a long chain"
         );
         results.push(r);
         // The same graph projected onto x alone: y and z are both
@@ -547,12 +539,12 @@ fn main() {
     }
 
     println!(
-        "{:<10} {:>6} {:>6} {:>5} {:>8} {:>5} | {:>10} {:>11} {:>7} | fills",
+        "{:<10} {:>6} {:>6} {:>5} {:>8} {:>5} | {:>10} {:>11} {:>7}",
         "shape", "nodes", "edges", "atoms", "answers", "elim", "naive", "pipeline", "x"
     );
     for r in &results {
         println!(
-            "{:<10} {:>6} {:>6} {:>5} {:>8} {:>5} | {:>8.3}ms {:>9.3}ms {:>6.2}x | {}",
+            "{:<10} {:>6} {:>6} {:>5} {:>8} {:>5} | {:>8.3}ms {:>9.3}ms {:>6.2}x",
             r.shape,
             r.nodes,
             r.edges,
@@ -562,11 +554,6 @@ fn main() {
             r.naive_ms,
             r.pipeline_ms,
             r.naive_ms / r.pipeline_ms,
-            if r.per_source_sweeps {
-                "per-source"
-            } else {
-                "wavefront"
-            },
         );
     }
 
@@ -636,7 +623,7 @@ fn main() {
              \"answers\": {}, \"eliminated_vars\": {}, \"contracted_vars\": {}, \
              \"peeled_vars\": {}, \"naive_ms\": {:.4}, \
              \"pipeline_ms\": {:.4}, \"pipeline_speedup\": {:.2}, \
-             \"per_source_sweeps\": {}, \"intersection_seeks\": {}{}}}{}\n",
+             \"intersection_seeks\": {}{}}}{}\n",
             r.shape,
             r.nodes,
             r.edges,
@@ -648,7 +635,6 @@ fn main() {
             r.naive_ms,
             r.pipeline_ms,
             r.naive_ms / r.pipeline_ms,
-            r.per_source_sweeps,
             r.intersection_seeks,
             elimination,
             if i + 1 < results.len() { "," } else { "" }

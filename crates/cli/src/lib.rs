@@ -132,11 +132,6 @@ fn render_analysis(out: &mut String, stats: Option<&cxrpq_core::PipelineStats>) 
 fn render_pipeline(out: &mut String, stats: Option<&cxrpq_core::PipelineStats>) {
     let Some(s) = stats else { return };
     let order: Vec<String> = s.var_order.iter().map(|v| format!("v{}", v.0)).collect();
-    let fills = if s.per_source_sweeps {
-        "per-source sweeps"
-    } else {
-        "batched wavefronts"
-    };
     // Projection pushdown: how many plan variables were existentially
     // eliminated instead of enumerated, and how many of those were peeled
     // as leaves before enumeration (empty when projection was off).
@@ -159,10 +154,9 @@ fn render_pipeline(out: &mut String, stats: Option<&cxrpq_core::PipelineStats>) 
     } else {
         let _ = writeln!(
             out,
-            "pipeline: order [{}] · prune {} round(s) via {} · domains {} → {}{}",
+            "pipeline: order [{}] · prune {} round(s) · domains {} → {}{}",
             order.join(" "),
             s.rounds,
-            fills,
             s.total_before(),
             s.total_after(),
             eliminated

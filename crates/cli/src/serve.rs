@@ -27,9 +27,11 @@
 //!
 //! At most [`MAX_CONNECTIONS`] connections are served at once; one more
 //! is answered `err busy` and closed. A connection that sends no complete
-//! request line for [`IDLE_TIMEOUT`] is closed, and every idle handler
-//! notices `SHUTDOWN` within one 25 ms watch tick, so no quiet client keeps
-//! the server from exiting.
+//! request line for [`IDLE_TIMEOUT`] is closed, and so is one whose
+//! response is not taken in full within [`WRITE_TIMEOUT`]. Every handler
+//! waiting on a quiet client, to read or to write, notices `SHUTDOWN`
+//! within one 25 ms watch tick, so no client keeps the server from
+//! exiting.
 
 use crate::{parse_engine, parse_graph, CmdError, EvalCmdOptions};
 use cxrpq_core::{CacheConfig, EvalOptions, Governor, QueryCache, ServedAnswers, Verdict};
@@ -43,8 +45,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often a connection handler wakes: while a query evaluates, to
-/// check its socket for a disconnect; while it waits for a request line,
-/// to check for `SHUTDOWN` and the idle timeout.
+/// check its socket for a disconnect; while it waits for a request line
+/// or for the client to take a response, to check for `SHUTDOWN` and the
+/// idle or write timeout.
 const WATCH_TICK: Duration = Duration::from_millis(25);
 
 /// Most connections served at once. One more is answered `err busy` and
@@ -55,6 +58,11 @@ pub const MAX_CONNECTIONS: usize = 32;
 /// How long a connection may go without sending a complete request line
 /// before the server closes it.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// How long the client may take to read one whole response before the
+/// server closes the connection, so a client that never reads cannot hold
+/// its handler in a blocked write.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Longest request line read, in bytes without the newline. A client that
 /// sends more without a newline gets `err request line too long` and the
@@ -179,7 +187,9 @@ fn handle_connection(srv: &Server, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    if read_half.set_read_timeout(Some(WATCH_TICK)).is_err() {
+    if read_half.set_read_timeout(Some(WATCH_TICK)).is_err()
+        || stream.set_write_timeout(Some(WATCH_TICK)).is_err()
+    {
         return;
     }
     let mut reader = BufReader::new(read_half);
@@ -189,8 +199,8 @@ fn handle_connection(srv: &Server, stream: TcpStream) {
             RequestLine::Text(line) => line,
             RequestLine::TooLong => {
                 srv.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = writer.write_all(render_error("request line too long").as_bytes());
-                let _ = writer.flush();
+                let error = render_error("request line too long");
+                write_response(&mut writer, error.as_bytes(), &srv.shutdown);
                 break;
             }
             RequestLine::End => break,
@@ -211,7 +221,7 @@ fn handle_connection(srv: &Server, stream: TcpStream) {
             }
             request => handle_query(srv, &writer, request),
         };
-        if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
+        if !write_response(&mut writer, response.as_bytes(), &srv.shutdown) {
             break;
         }
         if line == "QUIT" || line == "SHUTDOWN" {
@@ -257,6 +267,35 @@ fn read_request_line(reader: &mut impl BufRead, shutdown: &AtomicBool) -> Reques
         return RequestLine::TooLong;
     }
     String::from_utf8(buf).map_or(RequestLine::End, RequestLine::Text)
+}
+
+/// Writes one whole response, or gives up (`false`) on a write error,
+/// once [`WRITE_TIMEOUT`] has passed since the response began, or when a
+/// write stalls for one [`WATCH_TICK`] (the handler sets the socket's
+/// write timeout) while `shutdown` is set.
+fn write_response(writer: &mut impl Write, mut bytes: &[u8], shutdown: &AtomicBool) -> bool {
+    let start = Instant::now();
+    while !bytes.is_empty() {
+        match writer.write(bytes) {
+            Ok(0) => return false,
+            Ok(n) => bytes = &bytes[n..],
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                if shutdown.load(Ordering::SeqCst) {
+                    return false;
+                }
+            }
+            Err(_) => return false,
+        }
+        if !bytes.is_empty() && start.elapsed() >= WRITE_TIMEOUT {
+            return false;
+        }
+    }
+    true
 }
 
 /// Evaluates one query request line through the shared cache under a

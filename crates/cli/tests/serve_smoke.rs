@@ -1,8 +1,8 @@
 //! End-to-end smoke test for the `serve` subcommand: a real TCP server,
 //! a mixed workload over multiple connections (repeated queries, a
 //! governed abort, protocol verbs), shared-cache warm hits, and a clean
-//! `SHUTDOWN`, plus the connection cap and a `SHUTDOWN` that an idle
-//! client cannot hold up.
+//! `SHUTDOWN`, plus the connection cap and a `SHUTDOWN` that neither an
+//! idle client nor one that never reads its responses can hold up.
 
 use cxrpq_cli::serve::{MAX_CONNECTIONS, MAX_REQUEST_LINE};
 use cxrpq_cli::{run_serve, ServeConfig};
@@ -373,4 +373,34 @@ fn serve_shuts_down_while_an_idle_client_is_connected() {
     // The idle connection was closed on the way out.
     let mut rest = String::new();
     assert_eq!(idle.reader.read_line(&mut rest).expect("read"), 0);
+}
+
+#[test]
+fn serve_outlasts_a_client_that_never_reads() {
+    let (addr, done) = spawn_server();
+    // Pipeline requests without reading a byte until this client's own
+    // writes stall: the responses have filled the socket buffers, and the
+    // server's handler waits to write the next one.
+    let mut sink = TcpStream::connect(addr).expect("connect");
+    sink.set_write_timeout(Some(Duration::from_millis(200)))
+        .expect("write timeout");
+    let batch = "STATS\n".repeat(1024);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while sink.write_all(batch.as_bytes()).is_ok() {
+        assert!(Instant::now() < deadline, "the server kept reading forever");
+    }
+
+    // Another client is still answered.
+    let mut c = Client::connect(addr);
+    c.send("PING");
+    assert_eq!(c.read_line(), "pong");
+    assert_eq!(c.request(Q_SIMPLE)[0].split(' ').next(), Some("ok"));
+
+    // The stalled handler gives up its write on SHUTDOWN.
+    assert_eq!(c.request("SHUTDOWN"), ["ok shutting down"]);
+    let report = done
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a client that never reads must not hold up SHUTDOWN");
+    assert!(report.expect("serve ok").contains("served"));
+    drop(sink);
 }

@@ -4,8 +4,8 @@
 //! domain* (a [`DenseBitSet`] over node ids; pinned variables collapse to a
 //! singleton). Each free edge `(x, M, y)` is a reachability relation
 //! `R_M ⊆ V × V`, and one semi-join pass enforces arc consistency in both
-//! directions from a single batch of fills *joined from the smaller
-//! endpoint domain* — forward when `|dom(x)| ≤ |dom(y)|`:
+//! directions from one reach row per member *of the smaller endpoint
+//! domain* — forward when `|dom(x)| ≤ |dom(y)|`:
 //!
 //! - `dom(x) ← { u ∈ dom(x) : targets_M(u) ∩ dom(y) ≠ ∅ }`
 //! - `dom(y) ← dom(y) ∩ ⋃_{u ∈ dom(x)} targets_M(u)`
@@ -20,20 +20,23 @@
 //! answers the enumerator's later check of the edge. Passes repeat to a
 //! fixpoint (capped by the caller — early-exiting `boolean`/`check` calls
 //! cap low), visiting edges cheapest-first per the plan so the sharpest
-//! filters narrow the domains other edges then fill over. Fills are
-//! *domain-restricted*: [`ReachCache::fill`](crate::reach::ReachCache::fill) stripes cover only
-//! the current domain, never all of `db.nodes()`, so every later round
-//! costs traffic proportional to what pruning has already achieved.
+//! filters narrow the domains other edges then read rows over. Rows are
+//! *domain-restricted*: a pass reads the row of each member of the
+//! current near-side domain, never of all of `db.nodes()`, so every later
+//! round costs traffic proportional to what pruning has already achieved.
 //! Under streaming appends the caches invalidate per label
 //! ([`GraphDb::delta_since`]): an edge automaton whose alphabet misses
-//! every appended label keeps its fills across generations.
+//! every appended label keeps its rows across generations.
 //!
-//! **Adaptive probe.** Batched wavefront fills win ~3–4× on random and
-//! label-dense shapes but lose to per-source sweeps on long-diameter chains
-//! (staggered membership arrivals re-expand cells; see `BENCH_parallel.json`).
-//! [`probe_long_diameter`] runs one cheap plain-graph BFS and routes the
-//! fills: past [`LONG_DIAMETER_LEVELS`] levels the graph is chain-like and
-//! every fill falls back to per-source [`ReachScratch`](crate::reach::ReachScratch) sweeps.
+//! **One row per member.** A pass reads each near member's row once,
+//! through [`ReachCache::row`](crate::reach::ReachCache::row): a memo hit,
+//! or one per-source product BFS on the cache's reused
+//! [`ReachScratch`](crate::reach::ReachScratch). No batched wavefront runs
+//! here: on every atom of perfbench's `crpq_large` graphs a 64-source
+//! wavefront stripe cost 1.0–1.5× as much as the same 64 per-source
+//! searches, and on long-diameter chains it loses by more
+//! (`BENCH_parallel.json`), so the pass needs no probe of the graph's
+//! shape.
 //!
 //! Groups do not run their synchronized product search per candidate (it
 //! would cost more than it saves), but they still prune through *necessary
@@ -78,16 +81,18 @@ use crate::reach::Direction;
 use crate::solve::FreeEdge;
 use cxrpq_graph::{DenseBitSet, GraphDb, NodeId};
 
-/// BFS depth past which a graph counts as long-diameter and batched
-/// wavefronts are routed to per-source sweeps.
+/// BFS depth past which a graph counts as long-diameter, and
+/// [`rpq_pairs`](crate::path_semantics::rpq_pairs) runs per-source sweeps
+/// instead of a batched wavefront.
 pub const LONG_DIAMETER_LEVELS: usize = 96;
 
 /// Cheap shape probe: plain-graph BFS (labels ignored) from two spread
 /// sample nodes, stopping as soon as [`LONG_DIAMETER_LEVELS`] levels are
-/// exceeded — routes fills between wavefront batching and per-source
-/// sweeps. The verdict is memoized on the frozen database
-/// ([`GraphDb::long_diameter_hint`]), so repeated solver calls against the
-/// same `GraphDb` pay the `O(|V| + |E|)` walk once.
+/// exceeded — routes [`rpq_pairs`](crate::path_semantics::rpq_pairs)
+/// between wavefront batching and per-source sweeps. The verdict is
+/// memoized on the frozen database ([`GraphDb::long_diameter_hint`]), so
+/// repeated calls against the same `GraphDb` pay the `O(|V| + |E|)` walk
+/// once.
 pub fn probe_long_diameter(db: &GraphDb) -> bool {
     db.long_diameter_hint(LONG_DIAMETER_LEVELS)
 }
@@ -125,8 +130,6 @@ pub struct Narrowed {
 pub struct PruneOutcome {
     /// Semi-join passes executed (0 = nothing to prune).
     pub rounds: usize,
-    /// Whether the adaptive probe routed fills to per-source sweeps.
-    pub per_source_sweeps: bool,
     /// Whether some constrained domain emptied (the problem is
     /// unsatisfiable and enumeration can be skipped).
     pub emptied: bool,
@@ -188,14 +191,13 @@ impl Domains {
     }
 
     /// Iterates the candidates of `v` in ascending node order without
-    /// materializing them (the solver's seed sweeps consume this chunkwise).
+    /// materializing them (the solver's seed sweeps consume this lazily).
     pub fn iter(&self, v: NodeVar) -> impl Iterator<Item = NodeId> + '_ {
         self.doms[v.index()].ones().map(|i| NodeId(i as u32))
     }
 
     /// One semi-join pass over `edges` in the given visit order; returns
-    /// whether any domain shrank. `per_source` routes cache fills (see the
-    /// module docs).
+    /// whether any domain shrank.
     ///
     /// Each edge is joined *from its smaller endpoint domain*: forward
     /// (targets from `dom(src)`) or backward (sources from `dom(dst)`,
@@ -208,7 +210,6 @@ impl Domains {
         db: &GraphDb,
         edges: &mut [FreeEdge],
         order: &[usize],
-        per_source: bool,
         gov: &Governor,
     ) -> bool {
         let mut changed = false;
@@ -241,7 +242,6 @@ impl Domains {
                 // Already empty; the caller bails after the pass.
                 continue;
             }
-            edges[i].cache.fill(db, &near_members, dir, per_source);
             gov.charge_mem(self.universe.div_ceil(8));
             let mut new_far = DenseBitSet::new(self.universe);
             let mut new_far_size = 0usize;
@@ -392,9 +392,7 @@ impl Domains {
     /// include synthesized group-walker edges beyond the plan's real ones)
     /// are given. Edges flagged in `skip` (a [`Peel`]'s `peeled`, possibly
     /// shorter than `edges`) are left out. Domains of variables in no
-    /// visited edge are untouched. `per_source` is the caller's
-    /// adaptive-probe verdict ([`probe_long_diameter`]) routing the fills.
-    #[allow(clippy::too_many_arguments)]
+    /// visited edge are untouched.
     pub fn prune(
         &mut self,
         db: &GraphDb,
@@ -402,13 +400,9 @@ impl Domains {
         costs: Option<&[u64]>,
         skip: &[bool],
         max_rounds: usize,
-        per_source: bool,
         gov: &Governor,
     ) -> PruneOutcome {
-        let mut out = PruneOutcome {
-            per_source_sweeps: per_source,
-            ..PruneOutcome::default()
-        };
+        let mut out = PruneOutcome::default();
         let mut order: Vec<usize> = (0..edges.len())
             .filter(|&i| !skip.get(i).copied().unwrap_or(false))
             .collect();
@@ -424,7 +418,7 @@ impl Domains {
                 break; // fixpoint abandoned; domains only ever shrank
             }
             out.rounds += 1;
-            let changed = self.pass(db, edges, &order, out.per_source_sweeps, gov);
+            let changed = self.pass(db, edges, &order, gov);
             let emptied = order.iter().any(|&i| {
                 self.sizes[edges[i].src.index()] == 0 || self.sizes[edges[i].dst.index()] == 0
             });
@@ -474,7 +468,7 @@ mod tests {
         // x -ab-> y: only x = n0 (reads ab to n2), only y = n2.
         let mut edges = vec![edge(&db, 0, 1, "ab")];
         let mut doms = Domains::full(2, db.node_count());
-        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
         assert!(!out.emptied);
         assert_eq!(doms.members(NodeVar(0)), vec![nodes[0]]);
         assert_eq!(doms.members(NodeVar(1)), vec![nodes[2]]);
@@ -489,7 +483,7 @@ mod tests {
         // forces x = n1 and z = n3.
         let mut edges = vec![edge(&db, 0, 1, "a"), edge(&db, 1, 2, "b")];
         let mut doms = Domains::full(3, db.node_count());
-        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
         assert!(!out.emptied);
         assert!(out.rounds >= 2);
         assert_eq!(doms.members(NodeVar(0)), vec![nodes[1]]);
@@ -502,7 +496,7 @@ mod tests {
         let (db, _) = line_db("ab");
         let mut edges = vec![edge(&db, 0, 1, "cc")];
         let mut doms = Domains::full(2, db.node_count());
-        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
         assert!(out.emptied);
     }
 
@@ -513,7 +507,7 @@ mod tests {
         let mut doms = Domains::full(2, db.node_count());
         doms.pin(NodeVar(0), nodes[0]);
         doms.pin(NodeVar(1), nodes[3]);
-        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
         assert!(!out.emptied);
         assert_eq!(out.rounds, 1, "a kept pair changes nothing");
         // Decided as a pair (memoized), not by filling n0's closure.
@@ -528,7 +522,7 @@ mod tests {
         let mut doms = Domains::full(2, db.node_count());
         doms.pin(NodeVar(0), nodes[1]);
         doms.pin(NodeVar(1), nodes[3]);
-        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
         assert!(out.emptied);
         assert_eq!((doms.size(NodeVar(0)), doms.size(NodeVar(1))), (0, 0));
     }
@@ -555,7 +549,7 @@ mod tests {
         assert_eq!(doms.members(NodeVar(1)), vec![nodes[1]]);
         assert_eq!(doms.members(NodeVar(0)), vec![nodes[0]]);
         // The semi-join passes skip the peeled edges.
-        let pruned = doms.prune(&db, &mut chain, None, &out.peeled, 8, false, off);
+        let pruned = doms.prune(&db, &mut chain, None, &out.peeled, 8, off);
         assert_eq!(pruned.rounds, 0);
     }
 
@@ -624,13 +618,13 @@ mod tests {
         let db = b.freeze();
         let mut edges = vec![edge(&db, 0, 0, "aa")];
         let mut doms = Domains::full(1, db.node_count());
-        let out = doms.prune(&db, &mut edges, None, &[], 8, false, Governor::disabled());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
         assert!(!out.emptied);
         assert_eq!(doms.members(NodeVar(0)), vec![n0, n1]);
 
         let mut edges2 = vec![edge(&db, 0, 0, "ab")];
         let mut doms2 = Domains::full(1, db.node_count());
-        let out2 = doms2.prune(&db, &mut edges2, None, &[], 8, false, Governor::disabled());
+        let out2 = doms2.prune(&db, &mut edges2, None, &[], 8, Governor::disabled());
         assert!(out2.emptied);
     }
 

@@ -34,7 +34,7 @@
 //! property `tests/prop_abort_safety.rs` drives at every checkpoint index.
 //! Caches must never retain partially-filled entries:
 //! [`ReachCache`](crate::reach::ReachCache) skips memoization whenever its
-//! governor tripped mid-fill, so a repeat solve after an abort equals a
+//! governor tripped mid-search, so a repeat solve after an abort equals a
 //! fresh solve.
 //!
 //! **Memory accounting** ([`Governor::charge_mem`]) is *approximate and

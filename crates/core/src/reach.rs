@@ -17,13 +17,16 @@
 //! chained with the delta-overlay range;
 //! [`GraphDb::successors_with`] / [`GraphDb::predecessors_with`]) instead
 //! of filtering the whole adjacency row. The final hits are sorted once
-//! at the end.
+//! at the end. This is the only way the solver builds rows: every
+//! [`ReachCache::row`] is one such search on the cache's reused
+//! [`ReachScratch`], checkpointing the governor once per 64 product
+//! states.
 //!
-//! **Batched multi-source** ([`reach_all`]): the wavefront form. The solver's
-//! candidate loops want `targets` for *many* sources of the *same* automaton;
-//! running one BFS per source re-walks the shared explored region once per
-//! source. `reach_all` instead runs ONE level-synchronous label-propagation
-//! pass: every `(node, state)` cell carries a `u64` source-membership word
+//! **Batched multi-source** ([`reach_all`]): the wavefront form, for
+//! callers that want the rows of *all* sources of one automaton at once
+//! ([`crate::path_semantics::rpq_pairs`]). Instead of one BFS per source
+//! it runs ONE level-synchronous label-propagation pass: every
+//! `(node, state)` cell carries a `u64` source-membership word
 //! (sources are processed in stripes of 64, so arbitrarily many sources
 //! cost `⌈k/64⌉` passes), a frontier cell ORs its membership into each
 //! successor cell, and a cell re-enters the frontier only when its
@@ -67,7 +70,7 @@ use crate::governor::Governor;
 use cxrpq_automata::{Label, MaskSim, Nfa, StateId};
 use cxrpq_graph::{DenseBitSet, GraphDb, NodeId, Symbol};
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -162,37 +165,52 @@ pub fn reach_set(
     reach_set_governed(db, nfa, u, dir, stats, scratch, Governor::disabled())
 }
 
-/// Reusable visited-set storage for repeated [`reach_set_governed`] calls.
+/// Reusable buffers for repeated [`reach_set_governed`] calls.
 ///
 /// Zeroing a fresh `|V| · |Q|`-bit set per call costs `O(|V| · |Q| / 64)`
 /// even when the explored region is tiny; a sweep over many sources (one
-/// BFS per node) pays that memset per source. A scratch records the cells
-/// it touched and clears exactly those afterwards, so the full zeroing
-/// happens once and each search costs memory traffic proportional to the
-/// region it actually explored.
+/// BFS per node) pays that memset per source. A scratch keeps the visited
+/// set, the BFS queue and the buffer of final hits across calls: the queue
+/// doubles as the list of visited cells, which are cleared one by one
+/// afterwards, so the full zeroing happens once, no search allocates
+/// anything but its row, and each search costs memory traffic
+/// proportional to the region it actually explored.
 #[derive(Default)]
 pub struct ReachScratch {
     visited: DenseBitSet,
-    touched: Vec<usize>,
+    /// Every product state pushed, in BFS order: popped from a head index,
+    /// then walked once more to clear `visited`.
+    queue: Vec<(NodeId, StateId)>,
+    /// Nodes popped in a final state, before the sort into a row.
+    hits: Vec<NodeId>,
 }
 
 impl ReachScratch {
     /// An all-clear visited set of capacity ≥ `cells` (grown on demand).
-    fn ensure(&mut self, cells: usize) -> &mut DenseBitSet {
+    fn ensure(&mut self, cells: usize) {
         if self.visited.capacity() < cells {
             self.visited = DenseBitSet::new(cells);
         }
-        debug_assert!(self.touched.is_empty());
-        &mut self.visited
+        debug_assert!(self.queue.is_empty() && self.hits.is_empty());
     }
 }
 
+/// Product states a [`reach_set_governed`] search pops between two
+/// governor checkpoints.
+const CHECK_STRIDE: usize = 64;
+
 /// [`reach_set`] with caller-provided scratch storage (see
 /// [`ReachScratch`]; the scratch is left all-clear for the next call) under
-/// a [`Governor`]: the BFS checkpoints once per popped product state and,
-/// when the governor trips, drains immediately — returning the (sound,
-/// partial) row of targets settled so far. The scratch invariant is
-/// restored on every exit path, abort included.
+/// a [`Governor`].
+///
+/// The BFS checkpoints once per 64 popped product states, charging 64
+/// steps of fuel and bumping [`ReachStats`] by as many, and charges the
+/// remainder when the search ends: fuel and state counts stay exact while
+/// the atomic traffic falls 64-fold. A governor that trips stops the
+/// search within 64 states, and one already tripped stops it before the
+/// first; either way the (sound, partial) row of targets settled so far
+/// is returned. The scratch invariant is restored on every exit path,
+/// abort included.
 pub fn reach_set_governed(
     db: &GraphDb,
     nfa: &Nfa,
@@ -202,47 +220,51 @@ pub fn reach_set_governed(
     scratch: &mut ReachScratch,
     gov: &Governor,
 ) -> ReachRow {
+    if gov.is_aborted() {
+        return empty_row();
+    }
     let q = nfa.state_count();
     let cells = db.node_count() * q;
     if scratch.visited.capacity() < cells {
         gov.charge_mem(cells.div_ceil(8));
     }
     scratch.ensure(cells);
-    let ReachScratch { visited, touched } = scratch;
-    let mut out = Vec::new();
-    let mut queue: VecDeque<(NodeId, StateId)> = VecDeque::new();
-    let push = |queue: &mut VecDeque<(NodeId, StateId)>,
+    let ReachScratch {
+        visited,
+        queue,
+        hits,
+    } = scratch;
+    let push = |queue: &mut Vec<(NodeId, StateId)>,
                 visited: &mut DenseBitSet,
-                touched: &mut Vec<usize>,
                 node: NodeId,
                 st: StateId| {
-        let cell = node.index() * q + st.index();
-        if visited.insert(cell) {
-            touched.push(cell);
-            queue.push_back((node, st));
+        if visited.insert(node.index() * q + st.index()) {
+            queue.push((node, st));
         }
     };
-    push(&mut queue, visited, touched, u, nfa.start());
-    while let Some((node, st)) = queue.pop_front() {
-        if !gov.checkpoint() {
-            break; // drain: partial `out` is a sound subset
-        }
+    let charge = |n: usize| {
         if let Some(s) = stats {
-            s.bump(1);
+            s.bump(n);
         }
+        gov.checkpoint_n(n as u64)
+    };
+    push(queue, visited, u, nfa.start());
+    let (mut head, mut batch) = (0, 0);
+    while let Some(&(node, st)) = queue.get(head) {
+        head += 1;
         if nfa.is_final(st) {
-            out.push(node);
+            hits.push(node);
         }
         for &(l, t) in nfa.transitions(st) {
             match l {
-                Label::Eps => push(&mut queue, visited, touched, node, t),
+                Label::Eps => push(queue, visited, node, t),
                 Label::Sym(a) => {
                     let adj = match dir {
                         Direction::Forward => db.successors_with(node, a),
                         Direction::Backward => db.predecessors_with(node, a),
                     };
                     for (_, next) in adj {
-                        push(&mut queue, visited, touched, next, t);
+                        push(queue, visited, next, t);
                     }
                 }
                 Label::Any => {
@@ -251,23 +273,36 @@ pub fn reach_set_governed(
                         Direction::Backward => db.in_edges(node),
                     };
                     for (_, next) in adj {
-                        push(&mut queue, visited, touched, next, t);
+                        push(queue, visited, next, t);
                     }
                 }
             }
         }
+        batch += 1;
+        if batch == CHECK_STRIDE {
+            batch = 0;
+            if !charge(CHECK_STRIDE) {
+                break; // drain: the hits so far are a sound subset
+            }
+        }
     }
-    for cell in touched.drain(..) {
-        visited.remove(cell);
+    if batch > 0 {
+        charge(batch);
     }
-    // A node reached in several final states was pushed once per state.
-    out.sort_unstable();
-    out.dedup();
-    if out.is_empty() {
+    for &(node, st) in queue.iter() {
+        visited.remove(node.index() * q + st.index());
+    }
+    queue.clear();
+    // A node reached in several final states was popped once per state.
+    hits.sort_unstable();
+    hits.dedup();
+    let row = if hits.is_empty() {
         empty_row()
     } else {
-        out.into()
-    }
+        Rc::from(&hits[..])
+    };
+    hits.clear();
+    row
 }
 
 /// Batched multi-source product reachability: for each `sources[i]`, the
@@ -953,7 +988,7 @@ fn oriented<'a>(nfa: &'a Nfa, rev: &'a OnceCell<Nfa>, dir: Direction) -> &'a Nfa
     }
 }
 
-/// Memoizing wrapper around [`reach_set`] / [`reach_all`] for repeated
+/// Memoizing wrapper around [`reach_set`] for repeated
 /// queries against the same database (one cache per edge automaton): one
 /// [`ReachRow`] map per direction, keyed by source (`fwd`) or sink (`bwd`),
 /// plus the pinned-pair verdicts of [`ReachCache::connects_pair`]. Rows are
@@ -969,13 +1004,13 @@ fn oriented<'a>(nfa: &'a Nfa, rev: &'a OnceCell<Nfa>, dir: Direction) -> &'a Nfa
 /// [`GraphDb::delta_since`] which labels were appended since the bound
 /// generation. When the answer is known and disjoint from the automaton's
 /// symbol footprint (its `Sym` labels; an automaton with any `Any`
-/// transition touches every label), the memoized fills are provably still
+/// transition touches every label), the memoized rows are provably still
 /// correct and are kept. Unknown ancestry — a different database, a
 /// divergent clone, or truncated append history — drops everything
 /// wholesale, as before.
 pub struct ReachCache {
     nfa: Nfa,
-    /// The reversed automaton, built the first time a backward fill or a
+    /// The reversed automaton, built the first time a backward row or a
     /// pinned-pair search reaches its backward side: most short-lived
     /// caches never get there.
     rev: OnceCell<Nfa>,
@@ -988,7 +1023,7 @@ pub struct ReachCache {
     fwd: HashMap<NodeId, ReachRow, NodeHashSeed>,
     bwd: HashMap<NodeId, ReachRow, NodeHashSeed>,
     /// Pinned-pair verdicts of [`ReachCache::connects_pair`]; invalidation
-    /// rides the same label-aware `bind` as the fills.
+    /// rides the same label-aware `bind` as the rows.
     pairs: HashMap<(NodeId, NodeId), bool, NodeHashSeed>,
     /// Forward and reversed [`MaskSim`] tables of the pinned-pair search,
     /// each built the first time a search needs it.
@@ -996,7 +1031,6 @@ pub struct ReachCache {
     pair_bwd: Option<MaskSim>,
     sweep: SetSweep,
     scratch: ReachScratch,
-    wave: WaveScratch,
     gov: Option<Arc<Governor>>,
     /// Exploration statistics shared by both directions.
     pub stats: ReachStats,
@@ -1031,17 +1065,16 @@ impl ReachCache {
             pair_bwd: None,
             sweep: SetSweep::default(),
             scratch: ReachScratch::default(),
-            wave: WaveScratch::default(),
             gov: None,
             stats: ReachStats::default(),
         }
     }
 
     /// Attaches (or detaches, with `None`) a [`Governor`]: every search the
-    /// cache runs checkpoints against it, and a fill interrupted by a trip
-    /// is **never memoized** — no partially-filled stripe survives an
-    /// abort, so a query repeated after an abort recomputes from a
-    /// consistent cache instead of serving truncated rows.
+    /// cache runs checkpoints against it, and a row interrupted by a trip
+    /// is **never memoized** — no partial row survives an abort, so a
+    /// query repeated after an abort recomputes from a consistent cache
+    /// instead of serving truncated rows.
     pub fn govern(&mut self, gov: Option<Arc<Governor>>) {
         self.gov = gov;
     }
@@ -1064,7 +1097,7 @@ impl ReachCache {
     /// Binds the cache to `db`, dropping memoized entries when they may
     /// have been computed against different adjacency.
     ///
-    /// Fills survive a rebind when `db` proves (via
+    /// Rows survive a rebind when `db` proves (via
     /// [`GraphDb::delta_since`]) that every label appended since the bound
     /// generation lies outside the automaton's symbol footprint — those
     /// arcs can never appear in this automaton's product searches, so the
@@ -1127,56 +1160,6 @@ impl ReachCache {
         r
     }
 
-    /// Batch path: memoizes the `dir` row of every node of `keys` not
-    /// already cached, in one multi-source wavefront ([`reach_all`])
-    /// instead of one BFS per node.
-    ///
-    /// `per_source = true` runs one scratch BFS per missing node instead —
-    /// the right call on long-diameter graphs, where staggered membership
-    /// arrivals make the wavefront re-expand cells (see the adaptive probe
-    /// in [`crate::domains`]). Both strategies leave the cache in the same
-    /// state; only the traversal cost differs.
-    ///
-    /// Solver candidate loops that are about to sweep many nodes of this
-    /// automaton call this first — typically restricted to the current
-    /// candidate domain of the variable (see [`crate::domains`]), never
-    /// blindly to all of `db.nodes()`; the [`ReachCache::row`] lookups that
-    /// follow are then memo hits.
-    pub fn fill(&mut self, db: &GraphDb, keys: &[NodeId], dir: Direction, per_source: bool) {
-        self.bind(db);
-        let missing = self.missing(keys, dir);
-        match missing.len() {
-            0 => {}
-            1 => {
-                self.row(db, missing[0], dir);
-            }
-            _ if per_source => {
-                for key in missing {
-                    if self.governor().is_aborted() {
-                        break;
-                    }
-                    self.row(db, key, dir);
-                }
-            }
-            _ => {
-                let rows = reach_all_governed(
-                    db,
-                    oriented(&self.nfa, &self.rev, dir),
-                    &missing,
-                    dir,
-                    Some(&self.stats),
-                    &FrontierConfig::auto(),
-                    &mut self.wave,
-                    self.gov.as_deref().unwrap_or(Governor::disabled()),
-                );
-                // Abort hygiene: `memoize` never retains a partial stripe.
-                for (key, row) in missing.into_iter().zip(&rows) {
-                    self.memoize(dir, key, row);
-                }
-            }
-        }
-    }
-
     /// The row memo of one direction.
     fn memo(&self, dir: Direction) -> &HashMap<NodeId, ReachRow, NodeHashSeed> {
         match dir {
@@ -1200,21 +1183,11 @@ impl ReachCache {
         memo.insert(key, row.clone());
     }
 
-    /// The distinct nodes of `keys` with no memoized `dir` row.
-    fn missing(&self, keys: &[NodeId], dir: Direction) -> Vec<NodeId> {
-        let memo = self.memo(dir);
-        let mut seen = HashSet::new();
-        keys.iter()
-            .copied()
-            .filter(|k| !memo.contains_key(k) && seen.insert(*k))
-            .collect()
-    }
-
     /// Whether some path `u →* v` is labelled by an accepted word, decided
     /// by one bidirectional search (see the module docs) instead of a
     /// closure, and memoized per `(u, v)`.
     ///
-    /// A memoized fill of `u` (forward) or `v` (backward) answers first;
+    /// A memoized row of `u` (forward) or `v` (backward) answers first;
     /// `u == v` under an automaton accepting ε needs no search. The search
     /// checkpoints once per expanded node and bumps [`ReachStats`] by one
     /// per node. A verdict interrupted by a governor trip is `false` and is
@@ -1256,7 +1229,7 @@ impl ReachCache {
     /// that reach some member (`Backward`, over the reversed automaton).
     /// It runs on the [`MaskSim`] tables of the pinned-pair search, one bit
     /// per `(node, state)`, and costs `O((|V| + |E|) · |Q|)` at most where
-    /// one fill per member would cost that per member.
+    /// one row per member would cost that per member.
     ///
     /// Nothing is memoized. The search checkpoints once per expanded node
     /// and bumps [`ReachStats`] by one per node; a governor trip returns
@@ -1285,7 +1258,7 @@ impl ReachCache {
 
     /// Whether some path `u →* v` is labelled by an accepted word.
     ///
-    /// A memoized fill of either endpoint or a pinned-pair verdict of
+    /// A memoized row of either endpoint or a pinned-pair verdict of
     /// [`ReachCache::connects_pair`] answers without a search — the
     /// enumerator's check of an edge whose endpoints the semi-join pass
     /// already decided as a pair costs a lookup.
@@ -1565,22 +1538,19 @@ mod tests {
     }
 
     #[test]
-    fn fill_targets_prememoizes_the_sweep() {
+    fn rows_are_memoized_and_match_fresh_searches() {
         let (db, nodes) = line_db("abcabc");
         let m = nfa_of(&db, "(a|b|c)+");
-        let mut cache = ReachCache::new(m.clone());
-        cache.fill(&db, &nodes, Direction::Forward, false);
-        cache.fill(&db, &nodes, Direction::Backward, false);
+        let mut cache = ReachCache::new(m);
+        assert_rows_fresh(&mut cache, &db);
+        let explored = cache.stats.states();
+        assert!(explored > 0);
+        // Every row is now a memo hit: no search runs again.
         for &n in &nodes {
-            let (fwd, bwd) = (cache.targets(&db, n), cache.sources(&db, n));
-            assert!(ascending(&fwd) && ascending(&bwd), "row order at {n:?}");
-            assert_eq!(fwd, reach_set(&db, &m, n, Direction::Forward, None));
-            assert_eq!(
-                bwd,
-                reach_set(&db, &reverse_nfa(&m), n, Direction::Backward, None)
-            );
+            cache.row(&db, n, Direction::Forward);
+            cache.row(&db, n, Direction::Backward);
         }
-        assert!(cache.stats.states() > 0);
+        assert_eq!(cache.stats.states(), explored);
     }
 
     #[test]
@@ -1792,27 +1762,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn aborted_fill_targets_leaves_no_partial_stripe() {
-        // Regression (abort hygiene): a forward fill batch interrupted at
-        // ANY checkpoint must memoize nothing — every later `connects`
-        // answer must match a never-aborted cache exactly.
-        let (db, nodes) = line_db(&"abc".repeat(27)); // >64 sources: 2 stripes
-        let m = nfa_of(&db, "(a|b|c)+");
-        let mut reference = ReachCache::new(m.clone());
-        reference.fill(&db, &nodes, Direction::Forward, false);
-        // Learn the checkpoint span of one ungoverned fill via a dry run.
+    /// The checkpoints one sweep of `dir` rows over `nodes` passes.
+    fn checkpoint_span(m: &Nfa, db: &GraphDb, nodes: &[NodeId], dir: Direction) -> u64 {
         let counting = Arc::new(Governor::unlimited());
         let mut dry = ReachCache::new(m.clone());
         dry.govern(Some(counting.clone()));
-        dry.fill(&db, &nodes, Direction::Forward, false);
-        let span = counting.checkpoints_seen();
-        assert!(span > 0);
+        for &n in nodes {
+            dry.row(db, n, dir);
+        }
+        counting.checkpoints_seen()
+    }
+
+    #[test]
+    fn aborted_target_rows_leave_no_partial_row() {
+        // Regression (abort hygiene): a sweep of forward rows interrupted
+        // at ANY checkpoint must memoize nothing partial — every later
+        // `connects` answer must match a never-aborted cache exactly.
+        let (db, nodes) = line_db(&"abc".repeat(27));
+        let m = nfa_of(&db, "(a|b|c)+");
+        let mut reference = ReachCache::new(m.clone());
+        let span = checkpoint_span(&m, &db, &nodes, Direction::Forward);
+        assert!(span > nodes.len() as u64, "long rows checkpoint mid-search");
         for k in 1..=span {
             let gov = Arc::new(Governor::unlimited().with_injection(k));
             let mut cache = ReachCache::new(m.clone());
             cache.govern(Some(gov.clone()));
-            cache.fill(&db, &nodes, Direction::Forward, false);
+            for &u in &nodes {
+                cache.targets(&db, u);
+            }
             assert!(gov.is_aborted(), "injection at {k} must trip");
             // Detach the governor: the cache must now answer from scratch,
             // identically to the never-aborted reference.
@@ -1822,7 +1799,7 @@ mod tests {
                     assert_eq!(
                         cache.connects(&db, u, v),
                         reference.connects(&db, u, v),
-                        "inject k={k}: partial stripe retained for ({u:?}, {v:?})"
+                        "inject k={k}: partial row retained for ({u:?}, {v:?})"
                     );
                 }
             }
@@ -1830,31 +1807,60 @@ mod tests {
     }
 
     #[test]
-    fn aborted_fill_sources_leaves_no_partial_stripe() {
+    fn aborted_source_rows_leave_no_partial_row() {
         let (db, nodes) = line_db(&"abc".repeat(27));
         let m = nfa_of(&db, "(abc)*");
         let mut reference = ReachCache::new(m.clone());
-        reference.fill(&db, &nodes, Direction::Backward, false);
-        let counting = Arc::new(Governor::unlimited());
-        let mut dry = ReachCache::new(m.clone());
-        dry.govern(Some(counting.clone()));
-        dry.fill(&db, &nodes, Direction::Backward, false);
-        let span = counting.checkpoints_seen();
+        let span = checkpoint_span(&m, &db, &nodes, Direction::Backward);
         // Sample the span (every k would be quadratic in test time).
         for k in (1..=span).step_by((span as usize / 16).max(1)) {
             let gov = Arc::new(Governor::unlimited().with_injection(k));
             let mut cache = ReachCache::new(m.clone());
             cache.govern(Some(gov.clone()));
-            cache.fill(&db, &nodes, Direction::Backward, false);
-            assert!(gov.is_aborted());
+            for &v in &nodes {
+                cache.sources(&db, v);
+            }
+            assert!(gov.is_aborted(), "injection at {k} must trip");
             cache.govern(None);
             for &v in &nodes {
                 assert_eq!(
                     *cache.sources(&db, v),
                     *reference.sources(&db, v),
-                    "inject k={k}: partial backward stripe retained at {v:?}"
+                    "inject k={k}: partial backward row retained at {v:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn governed_rows_charge_one_step_per_state() {
+        let (db, nodes) = line_db(&"abc".repeat(40));
+        let m = nfa_of(&db, "(a|b|c)+");
+        // Rows short and long, so both the 64-state stride and the
+        // remainder charged at the end are exercised.
+        for &u in &[nodes[0], nodes[20], nodes[100], nodes[119]] {
+            // Batching loses no fuel: the charge equals the state count.
+            let gov = Arc::new(Governor::unlimited());
+            let mut cache = ReachCache::new(m.clone());
+            cache.govern(Some(gov.clone()));
+            let row = cache.targets(&db, u);
+            let states = cache.stats.states() as u64;
+            assert_eq!(gov.steps_taken(), states, "fuel at {u:?}");
+            assert!(!gov.is_aborted() && cache.fwd.contains_key(&u));
+            // A budget one step short trips the search and memoizes
+            // nothing.
+            let gov = Arc::new(Governor::unlimited().with_max_steps(states - 1));
+            let mut cache = ReachCache::new(m.clone());
+            cache.govern(Some(gov.clone()));
+            let partial = cache.targets(&db, u);
+            assert_eq!(
+                gov.abort_reason(),
+                Some(crate::governor::AbortReason::Fuel),
+                "budget {} at {u:?}",
+                states - 1
+            );
+            assert!(cache.fwd.is_empty(), "tripped row memoized at {u:?}");
+            assert!(is_subset(&partial, &row));
         }
     }
 

@@ -20,9 +20,9 @@
 //!    variables, estimate per-constraint selectivity from CSR label
 //!    statistics, emit a connected cheapest-first variable order.
 //! 2. **Prune** ([`crate::domains`]) — semi-join reduction of per-variable
-//!    candidate domains to a (capped) fixpoint, with batched
-//!    domain-restricted wavefront fills and an adaptive per-source fallback
-//!    on long-diameter graphs. Pinned bindings collapse their domains to
+//!    candidate domains to a (capped) fixpoint, reading one memoized reach
+//!    row per member of each edge's smaller endpoint domain. Pinned
+//!    bindings collapse their domains to
 //!    singletons first; an emptied domain ends the search without
 //!    enumeration. Groups contribute necessary conditions: one synthesized
 //!    pruning-only edge per selective group walker (def-language
@@ -45,8 +45,7 @@
 //! subtree). The candidate stream follows the number of proposers:
 //!
 //! - none (a seed, or a required variable no constraint mentions): the
-//!   pruned domain, or every node, in stripes that prewarm the pending
-//!   edges' caches;
+//!   pruned domain, or every node;
 //! - one: its memoized reach row, filtered by the domain;
 //! - two or more: a worst-case-optimal leapfrog intersection. Binary
 //!   extension along one edge would materialize every `(x, y, z)` wedge of
@@ -92,7 +91,7 @@ use crate::evaluate::{Answer, Outcome, Request};
 use crate::governor::Governor;
 use crate::pattern::NodeVar;
 use crate::plan::{single_step_symbols, SolvePlan};
-use crate::reach::{Direction, NodeHashSeed, ReachCache, ReachRow, ReachStats};
+use crate::reach::{NodeHashSeed, ReachCache, ReachRow, ReachStats};
 use crate::sync::{sync_sources_governed, sync_targets_governed, SyncSearch, SyncSpec};
 use crate::witness::{pin_tuple, QueryWitness};
 use cxrpq_automata::Nfa;
@@ -167,14 +166,14 @@ pub struct SolveOptions {
     /// Cap on semi-join passes (the fixpoint usually lands earlier).
     pub max_prune_rounds: usize,
     /// Skip the prune phase when no binding is pinned: without a pinned
-    /// singleton to seed the fixpoint, the first pass fills the full
-    /// universe of every edge — on long-diameter shapes one BFS per node
-    /// per edge — which can dwarf a search that exits on its first
-    /// candidates. Early-exiting calls (`boolean`) set this and stay
-    /// lazy; pinned calls (`check`/`witness_for`) still prune, because a
-    /// singleton-seeded semi-join is one search from the pinned side.
-    /// Exhaustive enumeration leaves it off (it sweeps most sources
-    /// anyway, so the fills are never wasted).
+    /// singleton to seed the fixpoint, the first pass builds a row for
+    /// every node of every edge — one BFS per node per edge — which can
+    /// dwarf a search that exits on its first candidates. Early-exiting
+    /// calls (`boolean`) set this and stay lazy; pinned calls
+    /// (`check`/`witness_for`) still prune, because a singleton-seeded
+    /// semi-join is one search from the pinned side. Exhaustive
+    /// enumeration leaves it off (it sweeps most sources anyway, so the
+    /// rows are never wasted).
     pub lazy_unpinned: bool,
     /// Projection pushdown: treat `required` as the output projection,
     /// existentially eliminate every other variable (one witness instead
@@ -310,9 +309,6 @@ pub struct PipelineStats {
     pub group_cost: Vec<u64>,
     /// Semi-join passes executed (0 when pruning was off or trivial).
     pub rounds: usize,
-    /// Whether the adaptive probe routed prune fills to per-source sweeps
-    /// (long-diameter graphs) instead of batched wavefronts.
-    pub per_source_sweeps: bool,
     /// Domain size per node variable before pruning (pinned variables are
     /// already singletons here).
     pub domain_before: Vec<usize>,
@@ -395,18 +391,10 @@ pub struct Problem {
     pub pipeline: Option<PipelineStats>,
 }
 
-/// Candidate sweeps prewarm reachability caches in batches of one
-/// source-membership stripe (the `u64` word width of `reach_all`), so a
-/// batch costs one wavefront pass and an early-exiting search wastes at
-/// most the rest of one stripe.
-const SEED_BATCH: usize = 64;
-
 /// Shared read-only context for one enumeration (phase 3).
 struct EnumCtx<'a> {
     plan: Option<&'a SolvePlan>,
     domains: Option<&'a Domains>,
-    /// The prune phase's probe decision, reused by seed-sweep prewarms.
-    per_source_sweeps: bool,
     /// The run's governor (the shared disabled one when ungoverned): one
     /// checkpoint per recursion node, candidate loops drain on a trip.
     gov: &'a Governor,
@@ -465,14 +453,8 @@ impl SortedSet<'_> {
 /// The candidate stream of one `Problem::extend` call, by the number of
 /// proposers; every stream is ascending in node order.
 enum Candidates<'a> {
-    /// No proposer: the pruned domain, or every node, one [`SEED_BATCH`]
-    /// stripe at a time.
-    Sweep {
-        nodes: Box<dyn Iterator<Item = NodeId> + 'a>,
-        stripe: Vec<NodeId>,
-        pos: usize,
-        stripes: usize,
-    },
+    /// No proposer: the pruned domain, or every node.
+    Sweep(Box<dyn Iterator<Item = NodeId> + 'a>),
     /// One proposer: its memoized row, filtered by the domain.
     Row(ReachRow, usize),
     /// Two or more: the leapfrog over their sets and the domain's. `hi`
@@ -486,53 +468,15 @@ enum Candidates<'a> {
 }
 
 impl Candidates<'_> {
-    /// The next candidate for `var`. A sweep prewarms, from its second
-    /// stripe on, the cache of every pending free edge at `var` with one
-    /// batched wavefront per stripe, so the `connects`/`targets` calls the
-    /// recursion makes after binding `var` are memo hits. The first stripe
-    /// stays per-source — a call that succeeds among the first candidates
-    /// (the common early exit) then never pays for a wavefront — and on
-    /// long-diameter graphs the prune probe's verdict skips the prewarm
-    /// entirely. An intersection counts its seeks and checkpoints once per
-    /// 64 of them, so governed runs drain mid-intersection too.
-    fn next(
-        &mut self,
-        var: NodeVar,
-        db: &GraphDb,
-        ctx: &EnumCtx<'_>,
-        edges: &mut [FreeEdge],
-        st: &mut EnumState,
-    ) -> Option<NodeId> {
+    /// The next candidate for `var`. The reach rows the recursion reads
+    /// after binding a swept candidate are built one source at a time, on
+    /// demand, so a call that succeeds among the first candidates (the
+    /// common early exit) builds no more rows than it reads. An
+    /// intersection counts its seeks and checkpoints once per 64 of them,
+    /// so governed runs drain mid-intersection too.
+    fn next(&mut self, var: NodeVar, ctx: &EnumCtx<'_>, st: &mut EnumState) -> Option<NodeId> {
         match self {
-            Candidates::Sweep {
-                nodes,
-                stripe,
-                pos,
-                stripes,
-            } => {
-                if *pos == stripe.len() {
-                    stripe.clear();
-                    stripe.extend(nodes.by_ref().take(SEED_BATCH));
-                    *pos = 0;
-                    if stripe.is_empty() {
-                        return None;
-                    }
-                    if *stripes > 0 && !ctx.per_source_sweeps {
-                        for (e, _) in edges.iter_mut().zip(&st.edge_done).filter(|(_, d)| !**d) {
-                            if e.src == var {
-                                e.cache.fill(db, stripe, Direction::Forward, false);
-                            }
-                            if e.dst == var {
-                                e.cache.fill(db, stripe, Direction::Backward, false);
-                            }
-                        }
-                    }
-                    *stripes += 1;
-                }
-                let n = stripe.get(*pos).copied();
-                *pos += 1;
-                n
-            }
+            Candidates::Sweep(nodes) => nodes.next(),
             Candidates::Row(row, pos) => {
                 while let Some(&c) = row.get(*pos) {
                     *pos += 1;
@@ -708,7 +652,7 @@ impl Problem {
     /// skipped: their semi-join would sweep everything and keep everything.
     ///
     /// Each walker gets its own [`ReachCache`] even when several share one
-    /// automaton: fills are domain-restricted to each walker's own
+    /// automaton: rows are built only over each walker's own
     /// endpoint domain, so the overlap a shared memo would save is
     /// partial, and group arities are small. Revisit if wide groups show
     /// up in profiles.
@@ -1081,9 +1025,6 @@ impl Problem {
         // nor synthesized edges the domains could never shrink below the
         // universe, so construction is skipped entirely. Early-exiting
         // unpinned calls stay lazy (see `SolveOptions::lazy_unpinned`).
-        // The adaptive probe's verdict — memoized on the frozen database —
-        // routes the prune fills and the seed-sweep prewarms in every
-        // pipeline mode; the naive reference path never consults it.
         let want_prune = opts.prune && !(opts.lazy_unpinned && pinned.is_empty());
         let (aux_edges, aux_costs) = if want_prune && !self.groups.is_empty() {
             self.group_prune_edges(db)
@@ -1091,14 +1032,9 @@ impl Problem {
             (Vec::new(), Vec::new())
         };
         let real_edges = self.free_edges.len();
-        let has_prunable = real_edges > 0 || !aux_edges.is_empty();
-        let probe =
-            (opts.plan || opts.prune) && has_prunable && crate::domains::probe_long_diameter(db);
-        let prune_now = want_prune && has_prunable;
-        let mut per_source_sweeps = probe;
+        let prune_now = want_prune && (real_edges > 0 || !aux_edges.is_empty());
         // One base stats value per plan; the prune branch patches in the
-        // fixpoint outcome (including its per-source verdict — the `move`
-        // capture of the probe value only feeds the prune-skipped branch).
+        // fixpoint outcome.
         let base_stats = move |p: &SolvePlan| PipelineStats {
             var_order: if opts.plan {
                 p.var_order.clone()
@@ -1108,7 +1044,6 @@ impl Problem {
             edge_cost: p.edge_cost.clone(),
             group_cost: p.group_cost.clone(),
             rounds: 0,
-            per_source_sweeps,
             domain_before: Vec::new(),
             domain_after: Vec::new(),
             peeled_vars: 0,
@@ -1161,7 +1096,7 @@ impl Problem {
             let mut costs = p.edge_cost.clone();
             costs.extend(aux_costs);
             self.free_edges.extend(aux_edges);
-            // Synthesized group-walker edges run their fills under the same
+            // Synthesized group-walker edges build their rows under the same
             // governor as the real ones (they are truncated right after, so
             // no detach is needed for the tail).
             for e in &mut self.free_edges[real_edges..] {
@@ -1173,14 +1108,11 @@ impl Problem {
                 Some(&costs),
                 &leaves.peeled,
                 opts.max_prune_rounds,
-                probe,
                 gov,
             );
             self.free_edges.truncate(real_edges);
-            per_source_sweeps = outcome.per_source_sweeps;
             self.pipeline = Some(PipelineStats {
                 rounds: outcome.rounds,
-                per_source_sweeps: outcome.per_source_sweeps,
                 domain_before: before,
                 domain_after: doms.sizes().to_vec(),
                 peeled_vars: leaves.vars,
@@ -1203,7 +1135,6 @@ impl Problem {
         let ctx = EnumCtx {
             plan: if opts.plan { plan.as_ref() } else { None },
             domains: domains.as_ref(),
-            per_source_sweeps,
             gov,
             single_step: OnceCell::new(),
         };
@@ -1564,15 +1495,10 @@ impl Problem {
         on_solution: &mut dyn FnMut(&[Option<NodeId>]) -> bool,
     ) -> bool {
         let mut cands = match *proposers {
-            [] => Candidates::Sweep {
-                nodes: match ctx.domains {
-                    Some(d) => Box::new(d.iter(var)),
-                    None => Box::new(db.nodes()),
-                },
-                stripe: Vec::with_capacity(SEED_BATCH),
-                pos: 0,
-                stripes: 0,
-            },
+            [] => Candidates::Sweep(match ctx.domains {
+                Some(d) => Box::new(d.iter(var)),
+                None => Box::new(db.nodes()),
+            }),
             [(j, forward, from)] => Candidates::Row(self.free_edges[j].row(db, from, forward), 0),
             _ => {
                 let single_step = ctx.single_step.get_or_init(|| {
@@ -1635,7 +1561,7 @@ impl Problem {
                 (key, 32 * (st.required.len() - 1 - pos) as u32)
             });
         let mut hit = false;
-        while let Some(c) = cands.next(var, db, ctx, &mut self.free_edges, st) {
+        while let Some(c) = cands.next(var, ctx, st) {
             if ctx.gov.is_aborted() {
                 break; // drain: emitted tuples stand
             }

@@ -13,7 +13,7 @@
 //!    identical to the ungoverned run.
 //! 3. **Hygiene** — re-solving ungoverned on the *same* evaluator after an
 //!    abort returns exactly the fresh-solve relation (no partial cache
-//!    stripe or stale state survives the abort).
+//!    row or stale state survives the abort).
 //!
 //! The abort points are exact: a dry governed run counts the checkpoints
 //! the instance passes, then fault injection trips the governor at sampled
