@@ -48,7 +48,7 @@
 //! `Aborted` and return a subset of the complete answers, an untripped run
 //! must return them all — the CI guard for the governed abort paths.
 
-use cxrpq_bench::median_ms;
+use cxrpq_bench::{env_fingerprint, median_ms};
 use cxrpq_core::{Crpq, CrpqEvaluator, Evaluate, Governor, Request, SolveOptions};
 use cxrpq_graph::{Alphabet, GraphBuilder, GraphDb, NodeId, Symbol};
 use cxrpq_workloads::graphs;
@@ -159,28 +159,6 @@ fn spread_ms(mut samples: Vec<Duration>) -> [f64; 3] {
         ms(samples[samples.len() / 2]),
         ms(samples[samples.len() - 1]),
     ]
-}
-
-/// Where and how the numbers were taken: worker threads the process may
-/// use, the build profile and the commit (`-dirty` when the tree has
-/// uncommitted changes), as a JSON object.
-fn env_fingerprint() -> String {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let rev = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or_else(
-            || "unknown".to_string(),
-            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        );
-    format!("{{\"threads\": {threads}, \"profile\": \"{profile}\", \"git_rev\": \"{rev}\"}}")
 }
 
 /// The governed-smoke fuel budget, when the env var is set.

@@ -47,6 +47,28 @@ pub fn scoped_spawn_sharded<T: Sync, R: Send>(
     })
 }
 
+/// Where and how the numbers were taken: worker threads the process may
+/// use, the build profile and the commit (`-dirty` when the tree has
+/// uncommitted changes), as a JSON object.
+pub fn env_fingerprint() -> String {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        );
+    format!("{{\"threads\": {threads}, \"profile\": \"{profile}\", \"git_rev\": \"{rev}\"}}")
+}
+
 /// Renders a markdown table.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();

@@ -31,12 +31,7 @@
 //! **One row per member.** A pass reads each near member's row once,
 //! through [`ReachCache::row`](crate::reach::ReachCache::row): a memo hit,
 //! or one per-source product BFS on the cache's reused
-//! [`ReachScratch`](crate::reach::ReachScratch). No batched wavefront runs
-//! here: on every atom of perfbench's `crpq_large` graphs a 64-source
-//! wavefront stripe cost 1.0–1.5× as much as the same 64 per-source
-//! searches, and on long-diameter chains it loses by more
-//! (`BENCH_parallel.json`), so the pass needs no probe of the graph's
-//! shape.
+//! [`ReachScratch`](crate::reach::ReachScratch).
 //!
 //! Groups do not run their synchronized product search per candidate (it
 //! would cost more than it saves), but they still prune through *necessary
@@ -80,22 +75,6 @@ use crate::pattern::NodeVar;
 use crate::reach::Direction;
 use crate::solve::FreeEdge;
 use cxrpq_graph::{DenseBitSet, GraphDb, NodeId};
-
-/// BFS depth past which a graph counts as long-diameter, and
-/// [`rpq_pairs`](crate::path_semantics::rpq_pairs) runs per-source sweeps
-/// instead of a batched wavefront.
-pub const LONG_DIAMETER_LEVELS: usize = 96;
-
-/// Cheap shape probe: plain-graph BFS (labels ignored) from two spread
-/// sample nodes, stopping as soon as [`LONG_DIAMETER_LEVELS`] levels are
-/// exceeded — routes [`rpq_pairs`](crate::path_semantics::rpq_pairs)
-/// between wavefront batching and per-source sweeps. The verdict is
-/// memoized on the frozen database ([`GraphDb::long_diameter_hint`]), so
-/// repeated calls against the same `GraphDb` pay the `O(|V| + |E|)` walk
-/// once.
-pub fn probe_long_diameter(db: &GraphDb) -> bool {
-    db.long_diameter_hint(LONG_DIAMETER_LEVELS)
-}
 
 /// Per-variable candidate domains over one database's node set.
 pub struct Domains {
@@ -626,23 +605,5 @@ mod tests {
         let mut doms2 = Domains::full(1, db.node_count());
         let out2 = doms2.prune(&db, &mut edges2, None, &[], 8, Governor::disabled());
         assert!(out2.emptied);
-    }
-
-    #[test]
-    fn probe_classifies_shapes() {
-        let (chain, _) = line_db(&"abc".repeat(50)); // diameter 150
-        assert!(probe_long_diameter(&chain));
-        let (short, _) = line_db("abcabc");
-        assert!(!probe_long_diameter(&short));
-        // A chain whose arcs run from high ids to low ids is invisible to
-        // a forward walk from node 0; the backward walk must catch it.
-        let alpha = Arc::new(Alphabet::from_chars("a"));
-        let mut b = GraphBuilder::new(alpha);
-        let a = b.alphabet().sym("a");
-        let nodes: Vec<NodeId> = (0..150).map(|_| b.add_node()).collect();
-        for w in nodes.windows(2) {
-            b.add_edge(w[1], a, w[0]);
-        }
-        assert!(probe_long_diameter(&b.freeze()));
     }
 }

@@ -1,10 +1,9 @@
-//! The shared frontier engine behind both product searches.
+//! The frontier engine behind the synchronized product search.
 //!
-//! Both the multi-source reachability wavefront ([`crate::reach::reach_all`])
-//! and the synchronized product search ([`crate::sync::SyncSearch`]) are
-//! level-synchronous BFS loops over a frozen [`cxrpq_graph::GraphDb`]: every
-//! level, each frontier item expands over contiguous CSR adjacency slices
-//! and the discoveries become the next frontier. The frozen database is
+//! [`crate::sync::SyncSearch`] is a level-synchronous BFS loop over a frozen
+//! [`cxrpq_graph::GraphDb`]: every level, each frontier item (a whole
+//! product configuration) expands over contiguous CSR adjacency slices and
+//! the discoveries become the next frontier. The frozen database is
 //! `Send + Sync`, so a sufficiently large level can be sharded across the
 //! long-lived [`WorkerPool`]: each worker expands a contiguous range of the
 //! frontier into private next-level storage, and the level barrier merges
@@ -12,7 +11,7 @@
 //! the scoped per-level spawns this module used to do) keeps a loaded server
 //! at one thread per core no matter how many queries shard concurrently.
 //!
-//! [`FrontierConfig`] is the shared knob: a worker count (auto-sized from
+//! [`FrontierConfig`] holds the knobs: a worker count (auto-sized from
 //! [`std::thread::available_parallelism`] by default), a serial-fallback
 //! threshold so levels too small to amortize shard dispatch — and therefore
 //! entire tiny graphs — run on the calling thread exactly as before, and an
@@ -38,21 +37,16 @@ pub struct FrontierConfig {
 }
 
 impl FrontierConfig {
-    /// Default serial-fallback threshold for reachability frontiers, whose
-    /// items are single `(node, state)` cells — cheap to expand, so a level
-    /// must be fat before sharding pays.
-    pub const REACH_SERIAL_THRESHOLD: usize = 4096;
+    /// Default serial-fallback threshold. Frontier items are whole product
+    /// configurations (positions × state masks × relation state), heavy
+    /// enough per expansion that a level of 128 amortizes shard dispatch.
+    pub const SERIAL_THRESHOLD: usize = 128;
 
-    /// Default serial-fallback threshold for synchronized-search frontiers,
-    /// whose items are whole product configurations (positions × state
-    /// masks × relation state) — far heavier per expansion.
-    pub const SYNC_SERIAL_THRESHOLD: usize = 128;
-
-    /// Auto-sized workers with the reachability threshold.
+    /// Auto-sized workers with the default [`Self::SERIAL_THRESHOLD`].
     pub fn auto() -> Self {
         Self {
             threads: 0,
-            serial_threshold: Self::REACH_SERIAL_THRESHOLD,
+            serial_threshold: Self::SERIAL_THRESHOLD,
             pool: None,
         }
     }
@@ -66,8 +60,8 @@ impl FrontierConfig {
         }
     }
 
-    /// Exactly `threads` workers (with the reachability threshold); pass
-    /// `0` for auto-sizing.
+    /// Exactly `threads` workers (with the default threshold); pass `0` for
+    /// auto-sizing.
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads,

@@ -8,7 +8,7 @@
 //! and [`EvalOptions`](crate::engine::EvalOptions)) that every hot loop
 //! consults at its checkpoints:
 //!
-//! - the BFS and wavefront loops of [`crate::reach`],
+//! - the product searches of [`crate::reach`],
 //! - the synchronized product levels of [`crate::sync`],
 //! - the sharded level barriers of [`crate::frontier`] (workers observe the
 //!   flag and drain),
@@ -38,8 +38,8 @@
 //! fresh solve.
 //!
 //! **Memory accounting** ([`Governor::charge_mem`]) is *approximate and
-//! cumulative*: the big allocation sites (dense bitsets, wavefront
-//! membership arrays, memoized reach sets, projection dedup tables) charge
+//! cumulative*: the big allocation sites (dense bitsets, memoized reach
+//! sets, projection dedup tables) charge
 //! their footprint when they allocate; nothing is refunded on free. The
 //! ceiling therefore bounds the total allocation traffic of one evaluation,
 //! which is the quantity that matters for an adversarial query.

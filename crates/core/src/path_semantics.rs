@@ -15,10 +15,8 @@
 //! - [`PathSemantics::Trail`]: no repeated *edge* — same search over edge
 //!   sets.
 
-use crate::domains::probe_long_diameter;
-use crate::frontier::FrontierConfig;
 use crate::governor::Governor;
-use crate::reach::{reach_all_governed, reach_set_governed, Direction, ReachScratch, WaveScratch};
+use crate::reach::{reach_set_governed, Direction, ReachScratch};
 use crate::witness::edge_path_governed;
 use cxrpq_automata::{Label, Nfa, StateId};
 use cxrpq_graph::{GraphDb, NodeId, Path, Symbol};
@@ -91,21 +89,19 @@ pub fn rpq_witness_governed(
 
 /// All pairs `(u, v)` connected under the semantics.
 ///
-/// Arbitrary semantics is routed by a cheap BFS-diameter probe
-/// ([`probe_long_diameter`]): short-diameter
-/// graphs run one batched multi-source wavefront ([`reach_all`](crate::reach::reach_all)) over all
-/// nodes — `⌈|V|/64⌉` passes over `D × M` instead of one BFS per source —
-/// while long-diameter (chain-shaped) graphs fall back to per-source
-/// scratch sweeps, where staggered membership arrivals would make the
-/// wavefront re-expand cells level after level. The restricted semantics
-/// stay a quadratic sweep (exponential per source in the worst case).
+/// Arbitrary semantics runs one product BFS over `D × M` per source
+/// ([`reach_set_governed`]) on a single reused [`ReachScratch`], so the
+/// sweep costs `O(|V| · |D| · |M|)` and allocates nothing per source but
+/// its row. Each row is read once, so no [`ReachCache`](crate::reach::ReachCache)
+/// memo holds them. The restricted semantics stay a quadratic sweep
+/// (exponential per source in the worst case).
 pub fn rpq_pairs(db: &GraphDb, nfa: &Nfa, sem: PathSemantics) -> BTreeSet<(NodeId, NodeId)> {
     rpq_pairs_governed(db, nfa, sem, Governor::disabled())
 }
 
-/// [`rpq_pairs`] under a [`Governor`]: per-source sweeps stop at the first
-/// aborted source and the batched wavefront drains mid-stripe, so the
-/// returned relation is always a sound subset of the complete one.
+/// [`rpq_pairs`] under a [`Governor`]: the sweeps stop at the first aborted
+/// source (an aborted BFS keeps the targets it settled), so the returned
+/// relation is always a sound subset of the complete one.
 pub fn rpq_pairs_governed(
     db: &GraphDb,
     nfa: &Nfa,
@@ -114,7 +110,7 @@ pub fn rpq_pairs_governed(
 ) -> BTreeSet<(NodeId, NodeId)> {
     let mut out = BTreeSet::new();
     match sem {
-        PathSemantics::Arbitrary if probe_long_diameter(db) => {
+        PathSemantics::Arbitrary => {
             let mut scratch = ReachScratch::default();
             for u in db.nodes() {
                 if gov.is_aborted() {
@@ -122,22 +118,6 @@ pub fn rpq_pairs_governed(
                 }
                 let row =
                     reach_set_governed(db, nfa, u, Direction::Forward, None, &mut scratch, gov);
-                out.extend(row.iter().map(|&v| (u, v)));
-            }
-        }
-        PathSemantics::Arbitrary => {
-            let sources: Vec<NodeId> = db.nodes().collect();
-            let rows = reach_all_governed(
-                db,
-                nfa,
-                &sources,
-                Direction::Forward,
-                None,
-                &FrontierConfig::auto(),
-                &mut WaveScratch::default(),
-                gov,
-            );
-            for (u, row) in sources.into_iter().zip(rows) {
                 out.extend(row.iter().map(|&v| (u, v)));
             }
         }
@@ -242,7 +222,6 @@ impl RestrictedSearch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reach::reach_all;
     use cxrpq_automata::parse_regex;
     use cxrpq_graph::Alphabet;
     use cxrpq_graph::GraphBuilder;
@@ -353,30 +332,82 @@ mod tests {
         }
     }
 
+    /// A `side × side` grid: `a` arcs run right, `b` arcs run down.
+    fn grid(side: u32) -> GraphDb {
+        let alpha = Arc::new(Alphabet::from_chars("ab"));
+        let mut db = GraphBuilder::new(alpha);
+        let (a, b) = (db.alphabet().sym("a"), db.alphabet().sym("b"));
+        let n: Vec<NodeId> = (0..side * side).map(|_| db.add_node()).collect();
+        for r in 0..side {
+            for c in 0..side {
+                let i = (r * side + c) as usize;
+                if c + 1 < side {
+                    db.add_edge(n[i], a, n[i + 1]);
+                }
+                if r + 1 < side {
+                    db.add_edge(n[i], b, n[i + side as usize]);
+                }
+            }
+        }
+        db.freeze()
+    }
+
+    /// `nodes` nodes and `edges` arcs with labels and endpoints drawn from
+    /// a fixed linear congruential stream (self-loops and parallel arcs
+    /// included).
+    fn random_graph(nodes: u32, edges: usize, seed: u64) -> GraphDb {
+        let alpha = Arc::new(Alphabet::from_chars("ab"));
+        let mut db = GraphBuilder::new(alpha);
+        let labels = [db.alphabet().sym("a"), db.alphabet().sym("b")];
+        let n: Vec<NodeId> = (0..nodes).map(|_| db.add_node()).collect();
+        let mut x = seed;
+        let mut next = |bound: usize| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as usize % bound
+        };
+        for _ in 0..edges {
+            let (u, l, v) = (next(n.len()), next(2), next(n.len()));
+            db.add_edge(n[u], labels[l], n[v]);
+        }
+        db.freeze()
+    }
+
     #[test]
-    fn rpq_pairs_per_source_route_agrees_on_long_chains() {
-        // A 150-node chain trips the long-diameter probe, so rpq_pairs
-        // takes the per-source route; the pair relation must match what
-        // the batched wavefront computes directly.
-        let alpha = Arc::new(Alphabet::from_chars("a"));
+    fn rpq_pairs_equals_pairwise_witness_search() {
+        // The reference asks the witness BFS (`rpq_holds`, a search of its
+        // own) about every pair of nodes.
+        let alpha = Arc::new(Alphabet::from_chars("ab"));
         let mut b = GraphBuilder::new(alpha);
         let a = b.alphabet().sym("a");
         let nodes: Vec<NodeId> = (0..150).map(|_| b.add_node()).collect();
         for w in nodes.windows(2) {
             b.add_edge(w[0], a, w[1]);
         }
-        let db = b.freeze();
-        assert!(probe_long_diameter(&db));
-        let m = nfa(&db, "aaa");
-        let routed = rpq_pairs(&db, &m, PathSemantics::Arbitrary);
-        let mut reference = BTreeSet::new();
-        let sources: Vec<NodeId> = db.nodes().collect();
-        let rows = reach_all(&db, &m, &sources, Direction::Forward, None);
-        for (u, row) in sources.into_iter().zip(rows) {
-            reference.extend(row.iter().map(|&v| (u, v)));
+        let chain = b.freeze();
+        let graphs = [
+            ("chain", chain),
+            ("lollipop", lollipop().0),
+            ("grid", grid(4)),
+            ("random", random_graph(12, 30, 7)),
+        ];
+        for (shape, db) in &graphs {
+            for pat in ["aaa", "a+", "(a|b)*a", "..", "_"] {
+                let m = nfa(db, pat);
+                let pairs = rpq_pairs(db, &m, PathSemantics::Arbitrary);
+                let reference: BTreeSet<(NodeId, NodeId)> = db
+                    .nodes()
+                    .flat_map(|u| db.nodes().map(move |v| (u, v)))
+                    .filter(|&(u, v)| rpq_holds(db, &m, u, v, PathSemantics::Arbitrary))
+                    .collect();
+                assert_eq!(pairs, reference, "{shape}, pattern {pat}");
+            }
         }
-        assert_eq!(routed, reference);
-        assert_eq!(routed.len(), 147); // every node three hops from the end
+        let (_, chain) = &graphs[0];
+        let m = nfa(chain, "aaa");
+        // Every node three hops from the end.
+        assert_eq!(rpq_pairs(chain, &m, PathSemantics::Arbitrary).len(), 147);
     }
 
     #[test]

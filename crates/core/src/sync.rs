@@ -234,8 +234,7 @@ impl<'a> SyncSearch<'a> {
             sims,
             offsets,
             total_words,
-            cfg: FrontierConfig::auto()
-                .with_serial_threshold(FrontierConfig::SYNC_SERIAL_THRESHOLD),
+            cfg: FrontierConfig::auto(),
             gov: Governor::disabled(),
         }
     }

@@ -77,21 +77,6 @@ impl DenseBitSet {
         self.words.fill(0);
     }
 
-    /// Word-level union: OR-merges `other` into `self` with one pass over
-    /// the word arrays instead of element-wise inserts.
-    ///
-    /// Both sets must cover the same universe.
-    pub fn union_with(&mut self, other: &Self) {
-        assert_eq!(
-            self.len, other.len,
-            "union over mismatched universes ({} vs {})",
-            self.len, other.len
-        );
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
     /// Word-level intersection: AND-merges `other` into `self` with one
     /// pass over the word arrays instead of element-wise tests.
     ///
@@ -171,26 +156,6 @@ mod tests {
         s.clear();
         assert_eq!(s.count(), 0);
         assert!(!s.contains(63));
-    }
-
-    #[test]
-    fn union_merges_words() {
-        let mut a = DenseBitSet::new(130);
-        let mut b = DenseBitSet::new(130);
-        a.insert(0);
-        a.insert(70);
-        b.insert(70);
-        b.insert(129);
-        a.union_with(&b);
-        assert_eq!(a.ones().collect::<Vec<_>>(), vec![0, 70, 129]);
-        assert_eq!(b.count(), 2, "source of the merge is untouched");
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatched universes")]
-    fn union_rejects_mismatched_capacity() {
-        let mut a = DenseBitSet::new(64);
-        a.union_with(&DenseBitSet::new(65));
     }
 
     #[test]

@@ -211,7 +211,6 @@ impl GraphBuilder {
             delta: DeltaOverlay::default(),
             appends: Vec::new(),
             history_complete: true,
-            shape_hint: std::sync::OnceLock::new(),
         }
     }
 }
@@ -406,7 +405,6 @@ pub struct GraphDb {
     /// Whether `appends` still reaches back to the freeze (false once the
     /// cap truncated it — `delta_since(lineage)` then answers `None`).
     history_complete: bool,
-    shape_hint: std::sync::OnceLock<(usize, bool)>,
 }
 
 /// Append-history entries retained before the oldest are dropped; snapshots
@@ -771,8 +769,7 @@ impl GraphDb {
         id
     }
 
-    /// Mints and installs a fresh generation recording `labels` as changed,
-    /// and resets the memoized shape hint (the graph just changed shape).
+    /// Mints and installs a fresh generation recording `labels` as changed.
     fn mint_generation(&mut self, labels: Vec<Symbol>) -> u64 {
         let gen = GENERATION.fetch_add(1, Ordering::Relaxed);
         self.generation = gen;
@@ -782,7 +779,6 @@ impl GraphDb {
             self.appends.drain(..excess);
             self.history_complete = false;
         }
-        self.shape_hint = std::sync::OnceLock::new();
         gen
     }
 
@@ -840,70 +836,6 @@ impl GraphDb {
             nodes = next_nodes;
         }
         seen.contains(v.index())
-    }
-
-    /// Whether a plain (label-oblivious) BFS from two spread sample nodes
-    /// exceeds `levels` levels — the "long-diameter" shape hint consumers
-    /// use to route batched wavefronts vs per-source product sweeps.
-    ///
-    /// Computed lazily and memoized on the frozen database (the shape of
-    /// an immutable graph never changes), so repeated queries against the
-    /// same `GraphDb` pay the `O(|V| + |E|)` probe once. The memo is keyed
-    /// by `levels`; a different threshold re-probes without re-caching
-    /// (callers use one threshold in practice).
-    pub fn long_diameter_hint(&self, levels: usize) -> bool {
-        let &(cached_levels, verdict) = self
-            .shape_hint
-            .get_or_init(|| (levels, self.bfs_depth_exceeds(levels)));
-        if cached_levels == levels {
-            verdict
-        } else {
-            self.bfs_depth_exceeds(levels)
-        }
-    }
-
-    fn bfs_depth_exceeds(&self, levels: usize) -> bool {
-        let n = self.node_count();
-        if n == 0 {
-            return false;
-        }
-        // Walk both directions: a chain whose arcs run from high ids to
-        // low ids is invisible to a forward walk from node 0 but not to
-        // the backward one.
-        let samples = [NodeId(0), NodeId((n / 2) as u32)];
-        let mut seen = crate::bitset::DenseBitSet::new(n);
-        let mut frontier: Vec<NodeId> = Vec::new();
-        let mut next: Vec<NodeId> = Vec::new();
-        for forward in [true, false] {
-            for &s in &samples {
-                seen.clear();
-                frontier.clear();
-                seen.insert(s.index());
-                frontier.push(s);
-                let mut depth = 0usize;
-                while !frontier.is_empty() {
-                    depth += 1;
-                    if depth > levels {
-                        return true;
-                    }
-                    next.clear();
-                    for &u in &frontier {
-                        let adj = if forward {
-                            self.out_edges(u)
-                        } else {
-                            self.in_edges(u)
-                        };
-                        for (_, v) in adj {
-                            if seen.insert(v.index()) {
-                                next.push(v);
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut frontier, &mut next);
-                }
-            }
-        }
-        false
     }
 
     /// Plain (label-oblivious) reachability from `u` to `v`.

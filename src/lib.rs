@@ -71,12 +71,11 @@
 //! `cxrpq-core` ride on this with dense-bitset visited sets and bitmask
 //! NFA state sets (`BENCH_reach.json` records the layout against the
 //! pre-CSR representation), and every reach search returns one row
-//! type, a sorted `Rc<[NodeId]>`. On top sits the level-synchronous
-//! frontier engine (`cxrpq_core::frontier`): `reach_all` batches
-//! multi-source product reachability into 64-source membership-stripe
-//! wavefronts, and both it and the synchronized search shard fat BFS
-//! levels across scoped worker threads (`cargo bench -p cxrpq-bench
-//! --bench e17_parallel_reach`, results in `BENCH_parallel.json`).
+//! type, a sorted `Rc<[NodeId]>`, built by one product BFS per source.
+//! The synchronized search shards fat BFS levels across the shared worker
+//! pool through the level-synchronous frontier engine
+//! (`cxrpq_core::frontier`; `cargo bench -p cxrpq-bench --bench
+//! e17_parallel_reach`, results in `BENCH_parallel.json`).
 //!
 //! Third-party APIs (`rand`, `proptest`, `criterion`) resolve to offline
 //! shims under `shims/`, pinned in `[workspace.dependencies]` — see the

@@ -1,27 +1,20 @@
 //! Equivalence properties of the frontier engine.
 //!
-//! The batched multi-source wavefront (`reach_all`) and the sharded
-//! level-synchronous searches are pure optimizations: over random source
-//! sets and random / grid / label-dense databases,
+//! Sharding the level-synchronous `SyncSearch` is a pure optimization:
+//! over random start tuples and random / grid / label-dense databases,
 //!
-//! 1. `reach_all` must equal one `reach_set` per source (both directions),
-//! 2. `reach_all` pinned to 1 worker must equal a forced-parallel run
-//!    (4 workers, serial threshold 0, so every level shards), and
-//! 3. the sharded `SyncSearch` must return identical tuple sets for 1 and
-//!    4 workers, again with sharding forced on every level, and
-//! 4. routing the same sharded expansions through explicitly pinned
+//! 1. the sharded search must return identical tuple sets for 1 and 4
+//!    workers, with sharding forced on every level (serial threshold 0),
+//!    in both directions, and
+//! 2. routing the same sharded expansions through explicitly pinned
 //!    [`WorkerPool`]s — a 1-worker pool (the submitter does all the
 //!    helping) vs a 4-worker pool — must not change any result.
-//!
-//! Every row these runs return, in both directions and at every worker
-//! count, must be strictly ascending (the one reach-row invariant).
 //!
 //! Thread counts beyond the machine's cores are deliberate: correctness of
 //! the shard/merge protocol may not depend on physical parallelism.
 
 use cxrpq::automata::{parse_regex, Nfa};
 use cxrpq::core::frontier::FrontierConfig;
-use cxrpq::core::reach::{reach_all_with, reach_set, reverse_nfa, Direction, ReachRow};
 use cxrpq::core::sync::{SyncSearch, SyncSpec};
 use cxrpq::core::WorkerPool;
 use cxrpq::graph::{Alphabet, GraphDb, NodeId};
@@ -69,21 +62,6 @@ fn nfa_of(db: &GraphDb, pattern: &str) -> Nfa {
     Nfa::from_regex(&parse_regex(pattern, &mut a).unwrap())
 }
 
-/// Random multiset of sources — duplicates and >64 sizes exercise the
-/// membership stripes.
-fn random_sources(rng: &mut StdRng, db: &GraphDb) -> Vec<NodeId> {
-    let n = db.node_count();
-    let k = rng.random_range(1..=(2 * n).min(90));
-    (0..k)
-        .map(|_| NodeId(rng.random_range(0..n) as u32))
-        .collect()
-}
-
-/// Whether every row is strictly ascending (sorted and duplicate-free).
-fn ascending(rows: &[ReachRow]) -> bool {
-    rows.iter().all(|r| r.windows(2).all(|w| w[0] < w[1]))
-}
-
 /// Forced-parallel configuration: more workers than this container has
 /// cores, sharding on every level.
 fn forced_parallel() -> FrontierConfig {
@@ -103,56 +81,6 @@ fn pool_of_four() -> &'static WorkerPool {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
-
-    #[test]
-    fn batched_reach_equals_per_source(seed in 0u64..1_000_000) {
-        let (db, pat) = db_and_pattern(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x1111);
-        let nfa = nfa_of(&db, &pat);
-        let rev = reverse_nfa(&nfa);
-        let sources = random_sources(&mut rng, &db);
-        let serial = FrontierConfig::serial();
-        let fwd = reach_all_with(&db, &nfa, &sources, Direction::Forward, None, &serial);
-        let bwd = reach_all_with(&db, &rev, &sources, Direction::Backward, None, &serial);
-        prop_assert!(ascending(&fwd) && ascending(&bwd), "unsorted row (seed {})", seed);
-        for (i, &u) in sources.iter().enumerate() {
-            prop_assert_eq!(
-                &fwd[i],
-                &reach_set(&db, &nfa, u, Direction::Forward, None),
-                "forward mismatch at source {} of {:?} (seed {})", i, u, seed
-            );
-            prop_assert_eq!(
-                &bwd[i],
-                &reach_set(&db, &rev, u, Direction::Backward, None),
-                "backward mismatch at source {} of {:?} (seed {})", i, u, seed
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_reach_equals_serial(seed in 0u64..1_000_000) {
-        let (db, pat) = db_and_pattern(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x2222);
-        let nfa = nfa_of(&db, &pat);
-        let sources = random_sources(&mut rng, &db);
-        let serial = reach_all_with(
-            &db, &nfa, &sources, Direction::Forward, None, &FrontierConfig::serial(),
-        );
-        let parallel = reach_all_with(
-            &db, &nfa, &sources, Direction::Forward, None, &forced_parallel(),
-        );
-        prop_assert!(ascending(&serial) && ascending(&parallel), "unsorted row (seed {})", seed);
-        prop_assert_eq!(serial, parallel, "thread count changed reach_all (seed {})", seed);
-        let rev = reverse_nfa(&nfa);
-        let serial = reach_all_with(
-            &db, &rev, &sources, Direction::Backward, None, &FrontierConfig::serial(),
-        );
-        let parallel = reach_all_with(
-            &db, &rev, &sources, Direction::Backward, None, &forced_parallel(),
-        );
-        prop_assert!(ascending(&serial) && ascending(&parallel), "unsorted row (seed {})", seed);
-        prop_assert_eq!(serial, parallel, "thread count changed backward reach_all (seed {})", seed);
-    }
 
     #[test]
     fn parallel_sync_equals_serial(seed in 0u64..1_000_000) {
@@ -190,19 +118,12 @@ proptest! {
     fn pool_size_does_not_change_results(seed in 0u64..1_000_000) {
         let (db, pat) = db_and_pattern(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x4444);
-        let nfa = nfa_of(&db, &pat);
-        let sources = random_sources(&mut rng, &db);
         // Same sharded expansion (4 shards, shard every level), routed
         // through explicitly pinned pools of different sizes. With one
         // worker the submitting thread runs most chunks itself via
         // help-while-wait; the merged result must be identical.
         let one = forced_parallel().with_pool(pool_of_one());
         let four = forced_parallel().with_pool(pool_of_four());
-        let r1 = reach_all_with(&db, &nfa, &sources, Direction::Forward, None, &one);
-        let r4 = reach_all_with(&db, &nfa, &sources, Direction::Forward, None, &four);
-        prop_assert!(ascending(&r1) && ascending(&r4), "unsorted row (seed {})", seed);
-        prop_assert_eq!(r1, r4, "pool size changed reach_all (seed {})", seed);
-
         let arity = rng.random_range(1..=3usize);
         let def = (rng.random_range(0..2u32) == 0).then(|| nfa_of(&db, &pat));
         let spec = SyncSpec::equality_group(def, arity);
