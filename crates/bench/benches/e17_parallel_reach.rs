@@ -4,8 +4,9 @@
 //! of `BENCH_reach.json`) plus one deliberately large random shape:
 //!
 //! 1. **All pairs** — [`rpq_pairs`] under arbitrary-path semantics over
-//!    every node of each shape: one product BFS per source on a reused
-//!    scratch. The table reports the sweep's time and its pair count,
+//!    every node of each shape: one product BFS per source on the
+//!    thread's search scratch. The table reports the sweep's time and its
+//!    pair count,
 //!    plus the single-source [`reach_set`] time as a regression anchor
 //!    against `BENCH_reach.json`'s `reach_csr_ms`.
 //! 2. **Parallel frontiers** — the sharded [`SyncSearch`] pinned to 1
@@ -15,7 +16,9 @@
 //!    per-level scoped spawns it replaced.
 //!
 //! Each parallel measurement is preceded by an equality assertion
-//! (N-thread = 1-thread, pool = scoped spawns).
+//! (N-thread = 1-thread, pool = scoped spawns). Every timing is recorded
+//! as the min, median and 95th percentile of its iterations, since the
+//! dispatch A/B in particular moves by 2× from run to run.
 //!
 //! Run: `cargo bench -p cxrpq-bench --bench e17_parallel_reach` (add
 //! `-- --fast` for the CI smoke configuration). Full runs record
@@ -23,7 +26,7 @@
 //! enable recording in fast mode) with `BENCH_PARALLEL_OUT`.
 
 use cxrpq_automata::{parse_regex, Nfa};
-use cxrpq_bench::{env_fingerprint, median_ms, scoped_spawn_sharded};
+use cxrpq_bench::{env_fingerprint, scoped_spawn_sharded, spread_ms, Spread};
 use cxrpq_core::frontier::{expand_sharded, FrontierConfig};
 use cxrpq_core::path_semantics::{rpq_pairs, PathSemantics};
 use cxrpq_core::reach::{reach_set, Direction};
@@ -43,8 +46,8 @@ struct PairsResult {
     nodes: usize,
     edges: usize,
     pairs: usize,
-    rpq_pairs_ms: f64,
-    single_source_ms: f64,
+    rpq_pairs_ms: Spread,
+    single_source_ms: Spread,
 }
 
 /// All-pairs reachability over one shape; also re-anchors the
@@ -57,10 +60,10 @@ fn run_pairs_shape(
     iters: usize,
 ) -> PairsResult {
     let pairs = rpq_pairs(db, reach_nfa, PathSemantics::Arbitrary).len();
-    let rpq_pairs_ms = median_ms(iters, || {
+    let rpq_pairs_ms = spread_ms(iters, || {
         std::hint::black_box(rpq_pairs(db, reach_nfa, PathSemantics::Arbitrary));
     });
-    let single_source_ms = median_ms(iters, || {
+    let single_source_ms = spread_ms(iters, || {
         std::hint::black_box(reach_set(db, reach_nfa, anchor, Direction::Forward, None));
     });
     PairsResult {
@@ -78,8 +81,8 @@ struct ParallelResult {
     nodes: usize,
     edges: usize,
     threads: usize,
-    sync_t1_ms: f64,
-    sync_tn_ms: f64,
+    sync_t1_ms: Spread,
+    sync_tn_ms: Spread,
 }
 
 fn main() {
@@ -147,14 +150,14 @@ fn main() {
             .with_config(tn)
             .run(&starts, None, None);
         assert_eq!(s1, sn, "random-xl: thread count changed SyncSearch");
-        let sync_t1_ms = median_ms(iters, || {
+        let sync_t1_ms = spread_ms(iters, || {
             std::hint::black_box(
                 SyncSearch::forward(&db, &spec)
                     .with_config(t1)
                     .run(&starts, None, None),
             );
         });
-        let sync_tn_ms = median_ms(iters, || {
+        let sync_tn_ms = spread_ms(iters, || {
             std::hint::black_box(
                 SyncSearch::forward(&db, &spec)
                     .with_config(tn)
@@ -195,12 +198,12 @@ fn main() {
             .into_iter()
             .sum();
         assert_eq!(pooled, scoped, "dispatch paths disagree on the workload");
-        let scoped_ms = median_ms(iters, || {
+        let scoped_ms = spread_ms(iters, || {
             for _ in 0..levels {
                 std::hint::black_box(scoped_spawn_sharded(&frontier, shards, expand));
             }
         });
-        let pool_ms = median_ms(iters, || {
+        let pool_ms = spread_ms(iters, || {
             for _ in 0..levels {
                 std::hint::black_box(expand_sharded(&frontier, shards, pool, expand));
             }
@@ -208,15 +211,21 @@ fn main() {
         (levels, shards, scoped_ms, pool_ms)
     };
 
-    // Report.
+    // Report: median (min–p95) per timing.
+    let show = |t: &Spread| format!("{:.4} ({:.4}–{:.4})ms", t.p50, t.min, t.p95);
     println!(
-        "{:<12} {:>7} {:>7} {:>9} | {:>11} | {:>10}",
+        "{:<12} {:>7} {:>7} {:>9} | {:>28} | {:>28}",
         "shape", "nodes", "edges", "pairs", "rpq_pairs", "1-source"
     );
     for r in &results {
         println!(
-            "{:<12} {:>7} {:>7} {:>9} | {:>9.3}ms | {:>8.4}ms",
-            r.shape, r.nodes, r.edges, r.pairs, r.rpq_pairs_ms, r.single_source_ms,
+            "{:<12} {:>7} {:>7} {:>9} | {:>28} | {:>28}",
+            r.shape,
+            r.nodes,
+            r.edges,
+            r.pairs,
+            show(&r.rpq_pairs_ms),
+            show(&r.single_source_ms),
         );
     }
     let p = &parallel_result;
@@ -225,18 +234,20 @@ fn main() {
         p.shape, p.nodes, p.edges, p.threads
     );
     println!(
-        "  sync       1t {:>9.3}ms  {}t {:>9.3}ms  {:>5.2}x",
-        p.sync_t1_ms,
+        "  sync       1t {}  {}t {}  {:>5.2}x",
+        show(&p.sync_t1_ms),
         p.threads,
-        p.sync_tn_ms,
-        p.sync_t1_ms / p.sync_tn_ms
+        show(&p.sync_tn_ms),
+        p.sync_t1_ms.p50 / p.sync_tn_ms.p50
     );
     let (d_levels, d_shards, d_scoped_ms, d_pool_ms) = dispatch;
     println!(
         "\ndispatch ({d_levels} levels x {d_shards} shards):\n  \
-         scoped spawns {d_scoped_ms:>9.3}ms\n  \
-         worker pool   {d_pool_ms:>9.3}ms  {:>5.2}x",
-        d_scoped_ms / d_pool_ms
+         scoped spawns {}\n  \
+         worker pool   {}  {:>5.2}x",
+        show(&d_scoped_ms),
+        show(&d_pool_ms),
+        d_scoped_ms.p50 / d_pool_ms.p50
     );
     if p.threads == 1 {
         println!();
@@ -272,36 +283,36 @@ fn main() {
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"shape\": \"{}\", \"nodes\": {}, \"edges\": {}, \"pairs\": {}, \
-             \"rpq_pairs_ms\": {:.4}, \"single_source_ms\": {:.4}}}{}\n",
+             \"rpq_pairs_ms\": {}, \"single_source_ms\": {}}}{}\n",
             r.shape,
             r.nodes,
             r.edges,
             r.pairs,
-            r.rpq_pairs_ms,
-            r.single_source_ms,
+            r.rpq_pairs_ms.json(),
+            r.single_source_ms.json(),
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"dispatch\": {{\"levels\": {}, \"shards\": {}, \"scoped_spawn_ms\": {:.4}, \
-         \"pool_ms\": {:.4}, \"pool_speedup\": {:.2}}},\n",
+        "  ],\n  \"dispatch\": {{\"levels\": {}, \"shards\": {}, \"scoped_spawn_ms\": {}, \
+         \"pool_ms\": {}, \"pool_speedup\": {:.2}}},\n",
         d_levels,
         d_shards,
-        d_scoped_ms,
-        d_pool_ms,
-        d_scoped_ms / d_pool_ms,
+        d_scoped_ms.json(),
+        d_pool_ms.json(),
+        d_scoped_ms.p50 / d_pool_ms.p50,
     ));
     json.push_str(&format!(
         "  \"parallel\": {{\"shape\": \"{}\", \"nodes\": {}, \"edges\": {}, \"threads\": {}, \
          \"parallel_numbers_are_placeholder\": {placeholder}, \
-         \"sync_t1_ms\": {:.4}, \"sync_tn_ms\": {:.4}, \"sync_parallel_speedup\": {:.2}}}\n}}\n",
+         \"sync_t1_ms\": {}, \"sync_tn_ms\": {}, \"sync_parallel_speedup\": {:.2}}}\n}}\n",
         p.shape,
         p.nodes,
         p.edges,
         p.threads,
-        p.sync_t1_ms,
-        p.sync_tn_ms,
-        p.sync_t1_ms / p.sync_tn_ms,
+        p.sync_t1_ms.json(),
+        p.sync_tn_ms.json(),
+        p.sync_t1_ms.p50 / p.sync_tn_ms.p50,
     ));
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("warning: could not write {out_path}: {e}");

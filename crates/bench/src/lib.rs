@@ -10,7 +10,33 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Median-of-`n` timing in milliseconds.
-pub fn median_ms(n: usize, mut f: impl FnMut()) -> f64 {
+pub fn median_ms(n: usize, f: impl FnMut()) -> f64 {
+    spread_ms(n, f).p50
+}
+
+/// The spread of `n` timings of one operation, in milliseconds.
+#[derive(Clone, Copy, Debug)]
+pub struct Spread {
+    /// The fastest sample.
+    pub min: f64,
+    /// The median sample.
+    pub p50: f64,
+    /// Nearest-rank 95th percentile (the maximum below 20 samples).
+    pub p95: f64,
+}
+
+impl Spread {
+    /// The spread as a JSON object `{"min": …, "p50": …, "p95": …}`.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"min\": {:.4}, \"p50\": {:.4}, \"p95\": {:.4}}}",
+            self.min, self.p50, self.p95
+        )
+    }
+}
+
+/// Min, median and 95th percentile of `n` timings of `f`, in milliseconds.
+pub fn spread_ms(n: usize, mut f: impl FnMut()) -> Spread {
     let mut samples: Vec<f64> = (0..n)
         .map(|_| {
             let start = Instant::now();
@@ -19,7 +45,11 @@ pub fn median_ms(n: usize, mut f: impl FnMut()) -> f64 {
         })
         .collect();
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    Spread {
+        min: samples[0],
+        p50: samples[samples.len() / 2],
+        p95: samples[(samples.len() * 95).div_ceil(100) - 1],
+    }
 }
 
 /// The pre-pool dispatch baseline: per-level scoped thread spawns, shaped

@@ -30,8 +30,8 @@
 //!
 //! **One row per member.** A pass reads each near member's row once,
 //! through [`ReachCache::row`](crate::reach::ReachCache::row): a memo hit,
-//! or one per-source product BFS on the cache's reused
-//! [`ReachScratch`](crate::reach::ReachScratch).
+//! or one per-source product BFS on the thread's search scratch (see
+//! [`crate::reach`]).
 //!
 //! Groups do not run their synchronized product search per candidate (it
 //! would cost more than it saves), but they still prune through *necessary

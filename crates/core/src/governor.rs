@@ -42,7 +42,12 @@
 //! sets, projection dedup tables) charge
 //! their footprint when they allocate; nothing is refunded on free. The
 //! ceiling therefore bounds the total allocation traffic of one evaluation,
-//! which is the quantity that matters for an adversarial query.
+//! which is the quantity that matters for an adversarial query. The
+//! per-thread search scratch of [`crate::reach`] outlives every query, so
+//! a search is charged the buffers it would allocate were they its own
+//! (see that module's docs), never the scratch's growth: the charge, and
+//! with it the verdict under a ceiling, is a function of the query alone,
+//! not of which searches a thread ran before.
 //!
 //! **Fault injection** ([`Governor::with_injection`]) deterministically
 //! trips the governor at the k-th checkpoint with

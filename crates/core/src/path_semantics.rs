@@ -16,7 +16,7 @@
 //!   sets.
 
 use crate::governor::Governor;
-use crate::reach::{reach_set_governed, Direction, ReachScratch};
+use crate::reach::{reach_row, visited_bytes, Direction};
 use crate::witness::edge_path_governed;
 use cxrpq_automata::{Label, Nfa, StateId};
 use cxrpq_graph::{GraphDb, NodeId, Path, Symbol};
@@ -90,9 +90,10 @@ pub fn rpq_witness_governed(
 /// All pairs `(u, v)` connected under the semantics.
 ///
 /// Arbitrary semantics runs one product BFS over `D × M` per source
-/// ([`reach_set_governed`]) on a single reused [`ReachScratch`], so the
-/// sweep costs `O(|V| · |D| · |M|)` and allocates nothing per source but
-/// its row. Each row is read once, so no [`ReachCache`](crate::reach::ReachCache)
+/// ([`reach_set_governed`](crate::reach::reach_set_governed)) on the
+/// thread's search scratch, so the sweep costs `O(|V| · |D| · |M|)` and
+/// allocates nothing per source but its row; the governor is charged for
+/// the BFS's visited set once per sweep. Each row is read once, so no [`ReachCache`](crate::reach::ReachCache)
 /// memo holds them. The restricted semantics stay a quadratic sweep
 /// (exponential per source in the worst case).
 pub fn rpq_pairs(db: &GraphDb, nfa: &Nfa, sem: PathSemantics) -> BTreeSet<(NodeId, NodeId)> {
@@ -111,13 +112,12 @@ pub fn rpq_pairs_governed(
     let mut out = BTreeSet::new();
     match sem {
         PathSemantics::Arbitrary => {
-            let mut scratch = ReachScratch::default();
+            gov.charge_mem(visited_bytes(db, nfa));
             for u in db.nodes() {
                 if gov.is_aborted() {
                     break;
                 }
-                let row =
-                    reach_set_governed(db, nfa, u, Direction::Forward, None, &mut scratch, gov);
+                let row = reach_row(db, nfa, u, Direction::Forward, None, gov);
                 out.extend(row.iter().map(|&v| (u, v)));
             }
         }

@@ -9,47 +9,67 @@
 //! leapfrog seeks, candidate loops — uses the row as is, so the same input
 //! is always walked in the same order.
 //!
-//! **Single-source** ([`reach_set`]): a BFS from one `(u, q₀)` seed that
-//! visits each `(node, state)` pair at most once. The pair space is a dense
-//! rectangle `|V_D| × |Q|`, so the visited set is a [`DenseBitSet`] indexed
-//! by `node · |Q| + state` — no hashing — and each `Sym(a)` transition
-//! expands over the merged per-`(node, a)` run (contiguous base-CSR range
-//! chained with the delta-overlay range;
-//! [`GraphDb::successors_with`] / [`GraphDb::predecessors_with`]) instead
-//! of filtering the whole adjacency row. The final hits are sorted once
-//! at the end. This is the only way the solver builds rows: every
-//! [`ReachCache::row`] is one such search on the cache's reused
-//! [`ReachScratch`], checkpointing the governor once per 64 product
-//! states.
+//! **Two kernels.** Every product search here runs one of two kernels:
 //!
-//! **Pinned pair** ([`ReachCache::connects_pair`]): the Check question
-//! "is `(u, v)` in `R_M`?" when both endpoints are fixed. Instead of
-//! `u`'s whole forward closure it runs one meet-in-the-middle search:
-//! forward from `(u, closure(q₀))` over `M` and backward from
-//! `(v, finals)` over the reversed automaton. Each side keeps one
-//! ε-closed state set per explored node as a [`MaskSim`] bitmask in a
-//! sparse map sized to the explored region, and each step expands the
-//! side with the smaller frontier by one level, in insertion order. The
-//! search stops as soon as some node's forward and backward masks share
-//! a state (a word of `L(M)` splits there) or one side runs dry. Its
-//! [`ReachStats`] count is the number of nodes expanded, not product
-//! cells.
+//! - The *state BFS* visits `(node, state)` cells from one seed
+//!   `(u, q₀)`, each at most once. The cell space is a dense rectangle
+//!   `|V_D| × |Q|`, so the visited set is a [`DenseBitSet`] indexed by
+//!   `node · |Q| + state` — no hashing — and each `Sym(a)` transition
+//!   expands over the merged per-`(node, a)` run (contiguous base-CSR
+//!   range chained with the delta-overlay range;
+//!   [`GraphDb::successors_with`] / [`GraphDb::predecessors_with`])
+//!   instead of filtering the whole adjacency row. A path search also
+//!   records, beside each queued cell, the queue index of the cell it was
+//!   pushed from and the symbol read on that step. The BFS builds every
+//!   row ([`reach_set`], [`ReachCache::row`]), sorting the final hits once
+//!   at the end, and every arbitrary-path witness
+//!   ([`edge_path`](crate::witness::edge_path)), stopping when
+//!   `(to, final)` is popped and walking back through the parents. It
+//!   checkpoints the governor once per 64 popped cells.
+//! - The *mask sweep* keeps one ε-closed [`MaskSim`] state set per node
+//!   and expands level by level, in FIFO order, one checkpoint and one
+//!   [`ReachStats`] count per expanded node. [`ReachCache::image`] seeds
+//!   one sweep with a whole node set `S` and runs it dry: `Pre_M(S)` or
+//!   `Post_M(S)` without one row per member. [`ReachCache::connects_pair`]
+//!   (the Check question "is `(u, v)` in `R_M`?") runs two sweeps that
+//!   meet in the middle: forward from `(u, closure(q₀))` over `M` and
+//!   backward from `(v, finals)` over the reversed automaton, the side
+//!   with the smaller frontier expanding one level at a time. It stops as
+//!   soon as a state one sweep gains at a node is already in the other
+//!   sweep's mask there (a word of `L(M)` splits there), or one side runs
+//!   dry.
 //!
-//! **Set image** ([`ReachCache::image`]): `Pre_M(S)` or `Post_M(S)` for a
-//! whole node set `S` — the question an existential leaf asks of its
-//! neighbour. One sweep seeds every member of `S` with the start set and
-//! walks the same [`MaskSim`] masks as the pinned-pair search, dense per
-//! node but cleared along a touched list, so no per-member row is filled.
+//! **One scratch per thread.** Both kernels run on the calling thread's
+//! search scratch: the BFS's visited set, queue and hit buffer, and two
+//! mask sweeps with dense per-node masks. It grows to the largest graph
+//! it has served and is zero-filled only when it grows: every search
+//! clears what it touched — along the BFS queue or the sweep's touched
+//! list — before it returns, aborted searches included, and a search that
+//! panics drops the scratch instead of putting it back. An exiting thread
+//! leaves its scratch on a spare list, and a thread without one takes it
+//! from there on its first search, so threads spawned per request or per
+//! shard search on grown buffers too. A search thus costs memory traffic
+//! proportional to the region it explored, and a short-lived
+//! [`ReachCache`] allocates nothing to search.
+//!
+//! **Charges depend on the query alone.** How far a scratch has grown
+//! depends on what its threads searched before, so its growth is charged
+//! to nobody. A search is charged what it would allocate on buffers of its
+//! own instead: the state BFS's `|V| · |Q|`-bit visited set once per owner
+//! of a run of searches (a [`ReachCache`], one [`reach_set_governed`]
+//! call, one `rpq_pairs` sweep, one witness path), and a mask sweep
+//! `2 · words · 8 + 16` bytes per node it touches. The same query gets the
+//! same charges, and the same memory verdict, on any thread.
 
 use crate::governor::Governor;
 use cxrpq_automata::{Label, MaskSim, Nfa, StateId};
-use cxrpq_graph::{DenseBitSet, GraphDb, NodeId, Symbol};
-use std::cell::OnceCell;
+use cxrpq_graph::{DenseBitSet, GraphDb, NodeId, Path, Symbol};
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Walk direction through the database.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,8 +81,10 @@ pub enum Direction {
 }
 
 /// Counts product states explored — the measured proxy for the paper's
-/// space bounds in EXPERIMENTS.md. A pinned-pair search
-/// ([`ReachCache::connects_pair`]) counts the nodes it expands instead.
+/// space bounds in EXPERIMENTS.md. The state BFS of a row counts the
+/// cells it pops; a mask sweep ([`ReachCache::connects_pair`],
+/// [`ReachCache::image`]) counts the nodes it expands instead. Witness
+/// paths count nothing.
 ///
 /// Every bump happens on the searching thread: the sharded
 /// [`SyncSearch`](crate::sync::SyncSearch) counts a level's states on the
@@ -116,13 +138,6 @@ pub fn reverse_nfa(nfa: &Nfa) -> Nfa {
 /// intersections, candidate loops — uses it as is.
 pub type ReachRow = Rc<[NodeId]>;
 
-/// The empty row. Most rows of a selective atom are empty, and they all
-/// share this one allocation.
-fn empty_row() -> ReachRow {
-    thread_local!(static EMPTY: ReachRow = Rc::new([]));
-    EMPTY.with(Rc::clone)
-}
-
 /// Nodes `v` such that some path `u →* v` is labelled by a word of `L(M)`
 /// (for `Direction::Backward`: nodes `v` with a path `v →* u` labelled by a
 /// word of the *original* language — pass a reversed automaton), as a
@@ -138,47 +153,11 @@ pub fn reach_set(
     dir: Direction,
     stats: Option<&ReachStats>,
 ) -> ReachRow {
-    let scratch = &mut ReachScratch::default();
-    reach_set_governed(db, nfa, u, dir, stats, scratch, Governor::disabled())
+    reach_set_governed(db, nfa, u, dir, stats, Governor::disabled())
 }
 
-/// Reusable buffers for repeated [`reach_set_governed`] calls.
-///
-/// Zeroing a fresh `|V| · |Q|`-bit set per call costs `O(|V| · |Q| / 64)`
-/// even when the explored region is tiny; a sweep over many sources (one
-/// BFS per node) pays that memset per source. A scratch keeps the visited
-/// set, the BFS queue and the buffer of final hits across calls: the queue
-/// doubles as the list of visited cells, which are cleared one by one
-/// afterwards, so the full zeroing happens once, no search allocates
-/// anything but its row, and each search costs memory traffic
-/// proportional to the region it actually explored.
-#[derive(Default)]
-pub struct ReachScratch {
-    visited: DenseBitSet,
-    /// Every product state pushed, in BFS order: popped from a head index,
-    /// then walked once more to clear `visited`.
-    queue: Vec<(NodeId, StateId)>,
-    /// Nodes popped in a final state, before the sort into a row.
-    hits: Vec<NodeId>,
-}
-
-impl ReachScratch {
-    /// An all-clear visited set of capacity ≥ `cells` (grown on demand).
-    fn ensure(&mut self, cells: usize) {
-        if self.visited.capacity() < cells {
-            self.visited = DenseBitSet::new(cells);
-        }
-        debug_assert!(self.queue.is_empty() && self.hits.is_empty());
-    }
-}
-
-/// Product states a [`reach_set_governed`] search pops between two
-/// governor checkpoints.
-const CHECK_STRIDE: usize = 64;
-
-/// [`reach_set`] with caller-provided scratch storage (see
-/// [`ReachScratch`]; the scratch is left all-clear for the next call) under
-/// a [`Governor`].
+/// [`reach_set`] under a [`Governor`]: one state BFS on the thread's search
+/// scratch.
 ///
 /// The BFS checkpoints once per 64 popped product states, charging 64
 /// steps of fuel and bumping [`ReachStats`] by as many, and charges the
@@ -186,108 +165,294 @@ const CHECK_STRIDE: usize = 64;
 /// the atomic traffic falls 64-fold. A governor that trips stops the
 /// search within 64 states, and one already tripped stops it before the
 /// first; either way the (sound, partial) row of targets settled so far
-/// is returned. The scratch invariant is restored on every exit path,
-/// abort included.
+/// is returned.
 pub fn reach_set_governed(
     db: &GraphDb,
     nfa: &Nfa,
     u: NodeId,
     dir: Direction,
     stats: Option<&ReachStats>,
-    scratch: &mut ReachScratch,
     gov: &Governor,
 ) -> ReachRow {
-    if gov.is_aborted() {
-        return empty_row();
-    }
-    let q = nfa.state_count();
-    let cells = db.node_count() * q;
-    if scratch.visited.capacity() < cells {
-        gov.charge_mem(cells.div_ceil(8));
-    }
-    scratch.ensure(cells);
-    let ReachScratch {
-        visited,
-        queue,
-        hits,
-    } = scratch;
-    let push = |queue: &mut Vec<(NodeId, StateId)>,
-                visited: &mut DenseBitSet,
-                node: NodeId,
-                st: StateId| {
-        if visited.insert(node.index() * q + st.index()) {
-            queue.push((node, st));
-        }
-    };
-    let charge = |n: usize| {
-        if let Some(s) = stats {
-            s.bump(n);
-        }
-        gov.checkpoint_n(n as u64)
-    };
-    push(queue, visited, u, nfa.start());
-    let (mut head, mut batch) = (0, 0);
-    while let Some(&(node, st)) = queue.get(head) {
-        head += 1;
-        if nfa.is_final(st) {
-            hits.push(node);
-        }
-        for &(l, t) in nfa.transitions(st) {
-            match l {
-                Label::Eps => push(queue, visited, node, t),
-                Label::Sym(a) => {
-                    let adj = match dir {
-                        Direction::Forward => db.successors_with(node, a),
-                        Direction::Backward => db.predecessors_with(node, a),
-                    };
-                    for (_, next) in adj {
-                        push(queue, visited, next, t);
-                    }
-                }
-                Label::Any => {
-                    let adj = match dir {
-                        Direction::Forward => db.out_edges(node),
-                        Direction::Backward => db.in_edges(node),
-                    };
-                    for (_, next) in adj {
-                        push(queue, visited, next, t);
-                    }
-                }
-            }
-        }
-        batch += 1;
-        if batch == CHECK_STRIDE {
-            batch = 0;
-            if !charge(CHECK_STRIDE) {
-                break; // drain: the hits so far are a sound subset
-            }
-        }
-    }
-    if batch > 0 {
-        charge(batch);
-    }
-    for &(node, st) in queue.iter() {
-        visited.remove(node.index() * q + st.index());
-    }
-    queue.clear();
-    // A node reached in several final states was popped once per state.
-    hits.sort_unstable();
-    hits.dedup();
-    let row = if hits.is_empty() {
-        empty_row()
-    } else {
-        Rc::from(&hits[..])
-    };
-    hits.clear();
-    row
+    gov.charge_mem(visited_bytes(db, nfa));
+    reach_row(db, nfa, u, dir, stats, gov)
 }
 
-/// Folded-multiply hasher for node-keyed maps — the pinned-pair search's
-/// slots, the [`ReachCache`] memos and the solver's projection dedup: a
-/// few instructions per key where SipHash costs tens, keyed once per
-/// process from the standard library's random state so that a crafted
-/// graph cannot aim the keys at one bucket. Every such map is only
-/// probed, never iterated, so no search order depends on the key.
+/// The bytes of the `|V| · |Q|`-bit visited set of a state BFS on `db`
+/// and `nfa`. Every owner of a run of row searches — a [`ReachCache`], one
+/// [`reach_set_governed`] call, one `rpq_pairs` sweep, one witness path —
+/// charges it once, whatever the thread's scratch already holds.
+pub(crate) fn visited_bytes(db: &GraphDb, nfa: &Nfa) -> usize {
+    (db.node_count() * nfa.state_count()).div_ceil(8)
+}
+
+/// [`reach_set_governed`] without the charge for the visited set, for an
+/// owner that charged it already ([`visited_bytes`]).
+pub(crate) fn reach_row(
+    db: &GraphDb,
+    nfa: &Nfa,
+    u: NodeId,
+    dir: Direction,
+    stats: Option<&ReachStats>,
+    gov: &Governor,
+) -> ReachRow {
+    with_scratch(|s, empty| {
+        let hits = &mut s.hits;
+        s.bfs.run::<false>(db, nfa, u, dir, stats, gov, |node| {
+            hits.push(node);
+            false
+        });
+        s.bfs.clear(nfa.state_count());
+        // A node reached in several final states was popped once per state.
+        hits.sort_unstable();
+        hits.dedup();
+        let row = if hits.is_empty() {
+            empty.clone()
+        } else {
+            Rc::from(&hits[..])
+        };
+        hits.clear();
+        row
+    })
+}
+
+/// A path `from →* to` labelled by a word of `L(nfa)`, shortest in product
+/// steps: the state BFS stopped when `(to, final)` is popped, read back
+/// through the parents. `None` when there is no such path or the governor
+/// tripped.
+pub(crate) fn product_path(
+    db: &GraphDb,
+    nfa: &Nfa,
+    from: NodeId,
+    to: NodeId,
+    gov: &Governor,
+) -> Option<Path> {
+    gov.charge_mem(visited_bytes(db, nfa));
+    with_scratch(|s, _| {
+        let bfs = &mut s.bfs;
+        let goal = bfs.run::<true>(db, nfa, from, Direction::Forward, None, gov, |n| n == to);
+        let path = goal.filter(|_| !gov.is_aborted()).map(|mut at| {
+            let mut steps = Vec::new();
+            while at != 0 {
+                let (parent, sym) = bfs.links[at];
+                if sym != NO_SYM {
+                    steps.push((Symbol(sym), bfs.queue[at].0));
+                }
+                at = parent as usize;
+            }
+            let mut path = Path::trivial(from);
+            for &(a, v) in steps.iter().rev() {
+                path.push(a, v);
+            }
+            path
+        });
+        bfs.clear(nfa.state_count());
+        path
+    })
+}
+
+/// The search scratch of one thread (see the module docs).
+#[derive(Default)]
+struct Scratch {
+    bfs: StateBfs,
+    /// Nodes a row search popped in a final state, before the sort.
+    hits: Vec<NodeId>,
+    /// The forward sweep of a pinned pair, and the sweep of an image.
+    fwd: MaskSweep,
+    /// The backward sweep of a pinned pair.
+    bwd: MaskSweep,
+}
+
+/// A thread's place for its scratch between searches, and the empty row
+/// its searches share: most rows of a selective atom are empty, and they
+/// all share this one allocation.
+struct Slot {
+    scratch: RefCell<Option<Scratch>>,
+    empty: ReachRow,
+}
+
+impl Drop for Slot {
+    /// Hands the exiting thread's scratch on to the next thread that
+    /// searches.
+    fn drop(&mut self) {
+        if let Some(s) = self.scratch.get_mut().take() {
+            spare().push(s);
+        }
+    }
+}
+
+/// Scratches of exited threads. A thread with none takes one on its first
+/// search, so threads spawned per request or per shard search on buffers
+/// that earlier threads grew.
+static SPARE: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
+
+/// The spare list. A poisoned lock is taken as is: a scratch goes on the
+/// list only from an exiting thread's slot, never mid-search.
+fn spare() -> MutexGuard<'static, Vec<Scratch>> {
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    static SLOT: Slot = Slot {
+        scratch: RefCell::new(None),
+        empty: ReachRow::default(),
+    };
+}
+
+/// Runs `f` on the calling thread's search scratch and shared empty row.
+/// If `f` panics the scratch, perhaps dirty, is dropped, and the thread's
+/// next search starts on an all-clear one.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch, &ReachRow) -> R) -> R {
+    /// Empties the slot when dropped during a panic.
+    struct Discard<'a>(&'a RefCell<Option<Scratch>>);
+    impl Drop for Discard<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                if let Ok(mut s) = self.0.try_borrow_mut() {
+                    *s = None;
+                }
+            }
+        }
+    }
+    SLOT.with(|slot| {
+        let _discard = Discard(&slot.scratch);
+        let mut s = slot.scratch.borrow_mut();
+        let s = s.get_or_insert_with(|| spare().pop().unwrap_or_default());
+        f(s, &slot.empty)
+    })
+}
+
+/// Product states a state BFS pops between two governor checkpoints.
+const CHECK_STRIDE: usize = 64;
+
+/// The symbol of a cell entered by an ε-move, and of the seed.
+const NO_SYM: u32 = u32::MAX;
+
+/// The state BFS over `(node, state)` cells.
+#[derive(Default)]
+struct StateBfs {
+    visited: DenseBitSet,
+    /// Every cell pushed, in BFS order: popped from a head index, then
+    /// walked once more to clear `visited`.
+    queue: Vec<(NodeId, StateId)>,
+    /// Beside each queued cell, for a path search only: the queue index
+    /// of the cell it was pushed from and the symbol read on that step.
+    /// Kept out of `queue` so that row searches, which never read them,
+    /// push 8-byte cells.
+    links: Vec<(u32, u32)>,
+}
+
+impl StateBfs {
+    /// Pushes the cell `(node, state)`, entered from queue index `parent`
+    /// by reading `sym`, unless it was visited.
+    fn push<const LINKS: bool>(
+        &mut self,
+        q: usize,
+        node: NodeId,
+        state: StateId,
+        parent: u32,
+        sym: u32,
+    ) {
+        if self.visited.insert(node.index() * q + state.index()) {
+            self.queue.push((node, state));
+            if LINKS {
+                self.links.push((parent, sym));
+            }
+        }
+    }
+
+    /// Runs the BFS from `(u, q₀)` over `nfa`, along out-arcs (`Forward`)
+    /// or in-arcs (`Backward`). `on_final` sees the node of every cell
+    /// popped in a final state; when it returns `true` the search stops and
+    /// returns that cell's queue index. The queue keeps every pushed cell
+    /// until [`StateBfs::clear`]; with `LINKS`, so do the links.
+    #[allow(clippy::too_many_arguments)]
+    fn run<const LINKS: bool>(
+        &mut self,
+        db: &GraphDb,
+        nfa: &Nfa,
+        u: NodeId,
+        dir: Direction,
+        stats: Option<&ReachStats>,
+        gov: &Governor,
+        mut on_final: impl FnMut(NodeId) -> bool,
+    ) -> Option<usize> {
+        if gov.is_aborted() {
+            return None;
+        }
+        let q = nfa.state_count();
+        let cells = db.node_count() * q;
+        if self.visited.capacity() < cells {
+            self.visited = DenseBitSet::new(cells);
+        }
+        let charge = |n: usize| {
+            if let Some(s) = stats {
+                s.bump(n);
+            }
+            gov.checkpoint_n(n as u64)
+        };
+        self.push::<LINKS>(q, u, nfa.start(), 0, NO_SYM);
+        let (mut head, mut batch, mut goal) = (0, 0, None);
+        while let Some(&(node, state)) = self.queue.get(head) {
+            let parent = head as u32;
+            head += 1;
+            batch += 1;
+            if nfa.is_final(state) && on_final(node) {
+                goal = Some(head - 1);
+                break;
+            }
+            for &(l, t) in nfa.transitions(state) {
+                match l {
+                    Label::Eps => self.push::<LINKS>(q, node, t, parent, NO_SYM),
+                    Label::Sym(a) => {
+                        let adj = match dir {
+                            Direction::Forward => db.successors_with(node, a),
+                            Direction::Backward => db.predecessors_with(node, a),
+                        };
+                        for (_, next) in adj {
+                            self.push::<LINKS>(q, next, t, parent, a.0);
+                        }
+                    }
+                    Label::Any => {
+                        let adj = match dir {
+                            Direction::Forward => db.out_edges(node),
+                            Direction::Backward => db.in_edges(node),
+                        };
+                        for (b, next) in adj {
+                            self.push::<LINKS>(q, next, t, parent, b.0);
+                        }
+                    }
+                }
+            }
+            if batch == CHECK_STRIDE {
+                batch = 0;
+                if !charge(CHECK_STRIDE) {
+                    break; // drain: what was settled so far is sound
+                }
+            }
+        }
+        if batch > 0 {
+            charge(batch);
+        }
+        goal
+    }
+
+    /// Clears the visited bits of the queued cells, the queue and the
+    /// links.
+    fn clear(&mut self, q: usize) {
+        for (node, state) in self.queue.drain(..) {
+            self.visited.remove(node.index() * q + state.index());
+        }
+        self.links.clear();
+    }
+}
+
+/// Folded-multiply hasher for node-keyed maps — the [`ReachCache`] memos
+/// and the solver's projection dedup: a few instructions per key where
+/// SipHash costs tens, keyed once per process from the standard library's
+/// random state so that a crafted graph cannot aim the keys at one bucket.
+/// Every such map is only probed, never iterated, so no search order
+/// depends on the key.
 pub(crate) struct NodeHasher(u64);
 
 impl NodeHasher {
@@ -339,153 +504,148 @@ impl BuildHasher for NodeHashSeed {
     }
 }
 
-/// One direction of the pinned-pair search. Per explored node (a *slot*,
-/// numbered in discovery order) it keeps `2 · words` mask words: the
-/// ε-closed states reached so far, then those not yet expanded.
-struct PairSide<'a> {
-    sim: &'a MaskSim,
-    forward: bool,
-    words: usize,
-    /// Node → slot index, built once the side outgrows [`PAIR_SLOTS`]
-    /// (below that a scan of `nodes` is cheaper than hashing).
-    slot_of: HashMap<NodeId, u32, NodeHashSeed>,
-    nodes: Vec<NodeId>,
+/// The mask sweep: per node `2 · words` mask words, the ε-closed
+/// [`MaskSim`] states reached, then those not yet expanded. The masks are
+/// dense over the database and cleared along the touched list. A sweep
+/// charges its governor `2 · words · 8 + 16` bytes per node it touches,
+/// whatever the scratch already holds.
+#[derive(Default)]
+struct MaskSweep {
     masks: Vec<u64>,
-    /// Slots with pending states, in the order they gained them: the
-    /// next level to expand.
-    queue: Vec<u32>,
-    /// The level being expanded (kept to reuse its allocation).
-    level: Vec<u32>,
+    words: usize,
+    /// Nodes whose masks went nonzero, in discovery order.
+    touched: Vec<NodeId>,
+    /// Nodes in the order they gained pending states; `queue[head..]` is
+    /// the frontier.
+    queue: Vec<NodeId>,
+    head: usize,
+    /// The expanded node's pending states, then one label's step.
+    buf: Vec<u64>,
 }
 
-/// Slots a search side allocates up front and finds by a linear scan:
-/// most pinned checks settle within a handful of nodes, where a hash map
-/// and containers grown from empty cost more than the search itself.
-const PAIR_SLOTS: usize = 16;
-
-impl<'a> PairSide<'a> {
-    fn new(sim: &'a MaskSim, forward: bool) -> Self {
-        let words = sim.words();
-        Self {
-            sim,
-            forward,
-            words,
-            slot_of: HashMap::default(),
-            nodes: Vec::with_capacity(PAIR_SLOTS),
-            masks: Vec::with_capacity(PAIR_SLOTS * 2 * words),
-            queue: Vec::with_capacity(PAIR_SLOTS),
-            level: Vec::new(),
+impl MaskSweep {
+    /// Starts a sweep of `words`-word masks on `db`.
+    fn begin(&mut self, db: &GraphDb, words: usize) {
+        let cells = db.node_count() * 2 * words;
+        if self.masks.len() < cells {
+            self.masks.resize(cells, 0);
         }
+        self.words = words;
+        self.buf.resize(2 * words, 0);
     }
 
-    /// The slot of `node`, if explored.
-    fn slot(&self, node: NodeId) -> Option<usize> {
-        if self.nodes.len() <= PAIR_SLOTS {
-            self.nodes.iter().position(|&n| n == node)
-        } else {
-            self.slot_of.get(&node).map(|&s| s as usize)
-        }
+    /// Nodes queued and not yet expanded.
+    fn frontier(&self) -> usize {
+        self.queue.len() - self.head
     }
 
-    /// The states reached at `node`, if explored.
-    fn seen_at(&self, node: NodeId) -> Option<&[u64]> {
-        let w = self.words;
-        self.slot(node).map(|s| &self.masks[s * 2 * w..][..w])
+    /// The states reached at `node`.
+    fn seen(&self, node: NodeId) -> &[u64] {
+        &self.masks[node.index() * 2 * self.words..][..self.words]
     }
 
     /// ORs the closed state set `bits` into `node`'s mask, queueing the
-    /// node when it gains states it has none pending of. Returns whether a
-    /// gained state also lies in `theirs` (the other side's mask at
-    /// `node`) — the two searches meet there.
-    fn add(&mut self, node: NodeId, bits: &[u64], theirs: Option<&[u64]>, gov: &Governor) -> bool {
+    /// node when it gains states and had none pending. Returns whether a
+    /// gained state also lies in `theirs` (the other sweep's mask at
+    /// `node`): the two sweeps meet there.
+    fn add(&mut self, node: NodeId, bits: &[u64], theirs: &[u64], gov: &Governor) -> bool {
         let w = self.words;
-        let slot = match self.slot(node) {
-            Some(s) => s,
-            None => {
-                let s = self.nodes.len();
-                self.nodes.push(node);
-                self.masks.resize(self.masks.len() + 2 * w, 0);
-                gov.charge_mem(2 * w * 8 + 16);
-                if s == PAIR_SLOTS {
-                    let index = self.nodes.iter().enumerate().map(|(i, &n)| (n, i as u32));
-                    self.slot_of.extend(index);
-                } else if s > PAIR_SLOTS {
-                    self.slot_of.insert(node, s as u32);
-                }
-                s
-            }
-        };
-        let (seen, pending) = self.masks[slot * 2 * w..][..2 * w].split_at_mut(w);
-        let (mut grew, mut idle, mut met) = (false, true, false);
+        let (seen, pending) = self.masks[node.index() * 2 * w..][..2 * w].split_at_mut(w);
+        let (mut grew, mut idle, mut untouched, mut met) = (false, true, true, false);
         for (i, &b) in bits.iter().enumerate() {
-            let fresh = b & !seen[i];
+            untouched &= seen[i] == 0;
             idle &= pending[i] == 0;
+            let fresh = b & !seen[i];
             if fresh != 0 {
                 grew = true;
                 seen[i] |= fresh;
                 pending[i] |= fresh;
-                met |= theirs.is_some_and(|t| t.get(i).is_some_and(|&tw| tw & fresh != 0));
+                met |= theirs.get(i).is_some_and(|&t| t & fresh != 0);
             }
         }
+        if grew && untouched {
+            self.touched.push(node);
+            gov.charge_mem(2 * w * 8 + 16);
+        }
         if grew && idle {
-            self.queue.push(slot as u32);
+            self.queue.push(node);
         }
         met
     }
 
-    /// Expands every queued node by one arc over its pending states, with
-    /// `theirs` giving the other side's mask at a node and `buf` as scratch
-    /// of at least `2 · words` words. `Some(met)` when the level ran (or
-    /// stopped at a meet), `None` when the governor tripped.
-    fn expand_level<'b>(
+    /// Expands one level: every node queued when the call starts, over its
+    /// pending states, by one arc (out-arcs if `forward`, else in-arcs),
+    /// with `theirs` giving the other sweep's mask at a node. `Some(true)`
+    /// at the first meet, `Some(false)` when the level ran through, `None`
+    /// when the governor tripped.
+    fn expand_level<'t>(
         &mut self,
-        theirs: impl Fn(NodeId) -> Option<&'b [u64]>,
         db: &GraphDb,
+        sim: &MaskSim,
+        forward: bool,
+        theirs: impl Fn(NodeId) -> &'t [u64],
         stats: &ReachStats,
         gov: &Governor,
-        buf: &mut [u64],
     ) -> Option<bool> {
-        let w = self.words;
-        let (delta, step) = buf[..2 * w].split_at_mut(w);
-        std::mem::swap(&mut self.level, &mut self.queue);
-        for i in 0..self.level.len() {
-            if !gov.checkpoint() {
-                return None;
-            }
-            stats.bump(1);
-            let slot = self.level[i] as usize;
-            let pending = &mut self.masks[slot * 2 * w + w..][..w];
-            delta.copy_from_slice(pending);
-            pending.fill(0);
-            let node = self.nodes[slot];
-            let runs = if self.forward {
-                db.out_label_runs(node)
-            } else {
-                db.in_label_runs(node)
-            };
-            for (a, run) in runs {
-                step.fill(0);
-                if !self.sim.step_into(delta, a, step) {
-                    continue;
+        let (w, end) = (self.words, self.queue.len());
+        let mut buf = std::mem::take(&mut self.buf);
+        let (delta, step) = buf.split_at_mut(w);
+        let verdict = 'level: {
+            while self.head < end {
+                if !gov.checkpoint() {
+                    break 'level None;
                 }
-                for (_, next) in run {
-                    if self.add(next, step, theirs(next), gov) {
-                        return Some(true);
+                stats.bump(1);
+                let node = self.queue[self.head];
+                self.head += 1;
+                let pending = &mut self.masks[node.index() * 2 * w + w..][..w];
+                delta.copy_from_slice(pending);
+                pending.fill(0);
+                let runs = if forward {
+                    db.out_label_runs(node)
+                } else {
+                    db.in_label_runs(node)
+                };
+                for (a, run) in runs {
+                    step.fill(0);
+                    if !sim.step_into(delta, a, step) {
+                        continue;
+                    }
+                    for (_, next) in run {
+                        if self.add(next, step, theirs(next), gov) {
+                            break 'level Some(true);
+                        }
                     }
                 }
             }
+            Some(false)
+        };
+        self.buf = buf;
+        verdict
+    }
+
+    /// Shows every touched node and its reached states to `visit`, then
+    /// clears the masks and the queue.
+    fn clear(&mut self, mut visit: impl FnMut(NodeId, &[u64])) {
+        let w = self.words;
+        for &node in &self.touched {
+            let row = &mut self.masks[node.index() * 2 * w..][..2 * w];
+            visit(node, &row[..w]);
+            row.fill(0);
         }
-        self.level.clear();
-        Some(false)
+        self.touched.clear();
+        self.queue.clear();
+        self.head = 0;
     }
 }
 
 /// Bidirectional product search for one pinned pair: whether some path
-/// `u →* v` spells a word of the automaton behind `fwd`. The backward side
-/// runs over the tables `bwd` returns (those of [`reverse_nfa`], whose
-/// states `0..|Q|` are the original ones), asked for only when the search
-/// gets past its first forward levels. Returns `false` on a governor trip
-/// (the caller must not memoize that verdict).
+/// `u →* v` spells a word of the automaton behind `fwd`, by two mask
+/// sweeps on the thread's scratch. The backward sweep runs over the tables
+/// `bwd` returns (those of [`reverse_nfa`], whose states `0..|Q|` are the
+/// original ones), asked for only when the search gets past its first
+/// forward levels. Returns `false` on a governor trip (the caller must not
+/// memoize that verdict).
 fn pair_search<'t>(
     db: &GraphDb,
     fwd: &MaskSim,
@@ -495,155 +655,45 @@ fn pair_search<'t>(
     stats: &ReachStats,
     gov: &Governor,
 ) -> bool {
-    let words = (fwd.state_count() + 1).div_ceil(64);
-    let mut inline = [0u64; 8];
-    let mut heap = Vec::new();
-    let buf: &mut [u64] = if 2 * words <= inline.len() {
-        &mut inline
-    } else {
-        heap.resize(2 * words, 0);
-        &mut heap
-    };
-    let mut f = PairSide::new(fwd, true);
-    f.add(u, fwd.start_mask(), None, gov);
-    // While the forward frontier is a single node the smaller side is the
-    // forward one, and the backward side is still its seed `(v, finals)`:
-    // on forward-closed masks, meeting it means reaching `v` in a final
-    // state. Most checks end here, so the backward tables wait.
-    let seed = |n: NodeId| (n == v).then(|| fwd.final_mask());
-    while f.queue.len() == 1 {
-        match f.expand_level(seed, db, stats, gov, buf) {
-            Some(false) => {}
-            Some(true) => return true,
-            None => return false,
-        }
-    }
-    if f.queue.is_empty() {
-        return false; // the forward closure is complete without a meet
-    }
-    let bwd = bwd();
-    let mut b = PairSide::new(bwd, false);
-    b.add(v, bwd.start_mask(), None, gov); // no meet: the loop above saw it
-    loop {
-        if f.queue.is_empty() || b.queue.is_empty() {
-            return false; // one side's closure is complete without a meet
-        }
-        let step = if f.queue.len() <= b.queue.len() {
-            f.expand_level(|n| b.seen_at(n), db, stats, gov, buf)
-        } else {
-            b.expand_level(|n| f.seen_at(n), db, stats, gov, buf)
+    with_scratch(|s, _| {
+        let (f, b) = (&mut s.fwd, &mut s.bwd);
+        let hit = 'search: {
+            f.begin(db, fwd.words());
+            f.add(u, fwd.start_mask(), &[], gov);
+            // While the forward frontier is a single node the smaller side
+            // is the forward one, and the backward side is still its seed
+            // `(v, finals)`: on forward-closed masks, meeting it means
+            // reaching `v` in a final state. Most checks end here, so the
+            // backward tables wait.
+            let seed = |n: NodeId| if n == v { fwd.final_mask() } else { &[] };
+            while f.frontier() == 1 {
+                match f.expand_level(db, fwd, true, seed, stats, gov) {
+                    Some(false) => {}
+                    met => break 'search met.is_some(),
+                }
+            }
+            if f.frontier() == 0 {
+                break 'search false; // the forward closure is complete without a meet
+            }
+            let bwd = bwd();
+            b.begin(db, bwd.words());
+            b.add(v, bwd.start_mask(), &[], gov); // no meet: the loop above saw it
+            while f.frontier() > 0 && b.frontier() > 0 {
+                let met = if f.frontier() <= b.frontier() {
+                    f.expand_level(db, fwd, true, |n| b.seen(n), stats, gov)
+                } else {
+                    b.expand_level(db, bwd, false, |n| f.seen(n), stats, gov)
+                };
+                if met != Some(false) {
+                    break 'search met.is_some();
+                }
+            }
+            false // one side's closure is complete without a meet
         };
-        match step {
-            Some(false) => {}
-            Some(true) => return true,
-            None => return false,
-        }
-    }
-}
-
-/// Per-node state masks for [`ReachCache::image`]: `2 · words` words per
-/// node (the ε-closed states reached, then those not yet expanded), grown
-/// once to the database and cleared node by node along the touched list,
-/// so a sweep costs memory traffic proportional to the region it explored.
-#[derive(Default)]
-struct SetSweep {
-    masks: Vec<u64>,
-    /// Nodes whose masks went nonzero, in discovery order.
-    touched: Vec<u32>,
-    /// Nodes with pending states, first in first out from `head`.
-    queue: Vec<u32>,
-}
-
-impl SetSweep {
-    /// ORs the closed state set `bits` into `node`'s mask, queueing the
-    /// node when it gains states and had none pending.
-    fn add(&mut self, node: u32, bits: &[u64]) {
-        let w = bits.len();
-        let (seen, pending) = self.masks[node as usize * 2 * w..][..2 * w].split_at_mut(w);
-        let (mut grew, mut idle, mut fresh_node) = (false, true, true);
-        for (i, &b) in bits.iter().enumerate() {
-            fresh_node &= seen[i] == 0;
-            idle &= pending[i] == 0;
-            let fresh = b & !seen[i];
-            if fresh != 0 {
-                grew = true;
-                seen[i] |= fresh;
-                pending[i] |= fresh;
-            }
-        }
-        if grew && fresh_node {
-            self.touched.push(node);
-        }
-        if grew && idle {
-            self.queue.push(node);
-        }
-    }
-
-    /// One multi-source product sweep: every node of `seeds` starts in
-    /// the ε-closed start set of `sim`, and the walk follows out-arcs
-    /// (`forward`) or in-arcs. Returns the nodes reached in a final state,
-    /// or `None` when the governor tripped. Leaves the masks all-clear.
-    fn run(
-        &mut self,
-        db: &GraphDb,
-        sim: &MaskSim,
-        seeds: impl Iterator<Item = NodeId>,
-        forward: bool,
-        stats: &ReachStats,
-        gov: &Governor,
-    ) -> Option<DenseBitSet> {
-        let w = sim.words();
-        let cells = db.node_count() * 2 * w;
-        if self.masks.len() < cells {
-            gov.charge_mem((cells - self.masks.len()) * 8);
-            self.masks.resize(cells, 0);
-        }
-        for s in seeds {
-            self.add(s.0, sim.start_mask());
-        }
-        let (mut delta, mut step) = (vec![0u64; w], vec![0u64; w]);
-        let mut head = 0;
-        let mut complete = true;
-        while head < self.queue.len() {
-            if !gov.checkpoint() {
-                complete = false;
-                break;
-            }
-            stats.bump(1);
-            let node = self.queue[head];
-            head += 1;
-            let pending = &mut self.masks[node as usize * 2 * w + w..][..w];
-            delta.copy_from_slice(pending);
-            pending.fill(0);
-            let runs = if forward {
-                db.out_label_runs(NodeId(node))
-            } else {
-                db.in_label_runs(NodeId(node))
-            };
-            for (a, run) in runs {
-                step.fill(0);
-                if !sim.step_into(&delta, a, &mut step) {
-                    continue;
-                }
-                for (_, next) in run {
-                    self.add(next.0, &step);
-                }
-            }
-        }
-        let mut out = complete.then(|| DenseBitSet::new(db.node_count()));
-        for &node in &self.touched {
-            let row = &mut self.masks[node as usize * 2 * w..][..2 * w];
-            if let Some(out) = &mut out {
-                if sim.any_final(&row[..w]) {
-                    out.insert(node as usize);
-                }
-            }
-            row.fill(0);
-        }
-        self.touched.clear();
-        self.queue.clear();
-        out
-    }
+        f.clear(|_, _| {});
+        b.clear(|_, _| {});
+        hit
+    })
 }
 
 /// The automaton a `dir` search runs: `nfa` forward, its reversal
@@ -692,12 +742,13 @@ pub struct ReachCache {
     /// Pinned-pair verdicts of [`ReachCache::connects_pair`]; invalidation
     /// rides the same label-aware `bind` as the rows.
     pairs: HashMap<(NodeId, NodeId), bool, NodeHashSeed>,
-    /// Forward and reversed [`MaskSim`] tables of the pinned-pair search,
-    /// each built the first time a search needs it.
+    /// Forward and reversed [`MaskSim`] tables of the mask sweeps (pinned
+    /// pairs and images), each built the first time a sweep needs it.
     pair_fwd: Option<MaskSim>,
     pair_bwd: Option<MaskSim>,
-    sweep: SetSweep,
-    scratch: ReachScratch,
+    /// The visited-set bytes charged so far ([`visited_bytes`]): the
+    /// cache's row searches are charged as if it owned their buffer.
+    visited_charged: usize,
     gov: Option<Arc<Governor>>,
     /// Exploration statistics shared by both directions.
     pub stats: ReachStats,
@@ -730,8 +781,7 @@ impl ReachCache {
             pairs: HashMap::default(),
             pair_fwd: None,
             pair_bwd: None,
-            sweep: SetSweep::default(),
-            scratch: ReachScratch::default(),
+            visited_charged: 0,
             gov: None,
             stats: ReachStats::default(),
         }
@@ -814,15 +864,14 @@ impl ReachCache {
         if let Some(r) = self.memo(dir).get(&key) {
             return r.clone();
         }
-        let r = reach_set_governed(
-            db,
-            oriented(&self.nfa, &self.rev, dir),
-            key,
-            dir,
-            Some(&self.stats),
-            &mut self.scratch,
-            self.gov.as_deref().unwrap_or(Governor::disabled()),
-        );
+        let nfa = oriented(&self.nfa, &self.rev, dir);
+        let gov = self.gov.as_deref().unwrap_or(Governor::disabled());
+        let bytes = visited_bytes(db, nfa);
+        if self.visited_charged < bytes {
+            gov.charge_mem(bytes);
+            self.visited_charged = bytes;
+        }
+        let r = reach_row(db, nfa, key, dir, Some(&self.stats), gov);
         self.memoize(dir, key, &r);
         r
     }
@@ -917,10 +966,33 @@ impl ReachCache {
                     .get_or_insert_with(|| MaskSim::new(rev.get_or_init(|| reverse_nfa(nfa))))
             }
         };
-        let gov = self.gov.as_deref().unwrap_or(Governor::disabled());
-        let seeds = set.ones().map(|i| NodeId(i as u32));
-        self.sweep
-            .run(db, sim, seeds, dir == Direction::Forward, &self.stats, gov)
+        let (stats, gov) = (
+            &self.stats,
+            self.gov.as_deref().unwrap_or(Governor::disabled()),
+        );
+        with_scratch(|s, _| {
+            let sweep = &mut s.fwd;
+            sweep.begin(db, sim.words());
+            for i in set.ones() {
+                sweep.add(NodeId(i as u32), sim.start_mask(), &[], gov);
+            }
+            let forward = dir == Direction::Forward;
+            let mut complete = true;
+            while complete && sweep.frontier() > 0 {
+                complete = sweep
+                    .expand_level(db, sim, forward, |_| &[], stats, gov)
+                    .is_some();
+            }
+            let mut out = complete.then(|| DenseBitSet::new(db.node_count()));
+            sweep.clear(|node, seen| {
+                if let Some(out) = &mut out {
+                    if sim.any_final(seen) {
+                        out.insert(node.index());
+                    }
+                }
+            });
+            out
+        })
     }
 
     /// Whether some path `u →* v` is labelled by an accepted word.
@@ -960,8 +1032,11 @@ impl ReachCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::AbortReason;
+    use crate::witness::{edge_path, edge_path_governed};
     use cxrpq_automata::parse_regex;
     use cxrpq_graph::{Alphabet, GraphBuilder};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn line_db(word: &str) -> (GraphDb, Vec<NodeId>) {
@@ -987,6 +1062,85 @@ mod tests {
 
     fn is_subset(part: &[NodeId], whole: &[NodeId]) -> bool {
         part.iter().all(|n| whole.binary_search(n).is_ok())
+    }
+
+    /// One cell of [`naive_bfs`]: node, state, the index of the cell it was
+    /// pushed from, and the symbol read into it.
+    type NaiveCell = (NodeId, StateId, usize, Option<Symbol>);
+
+    /// The product BFS written out naively — a `HashSet` of visited cells
+    /// and no shared scratch — in the kernels' visit order: every reachable
+    /// cell from `(u, q₀)`, in the order it is pushed.
+    fn naive_bfs(db: &GraphDb, nfa: &Nfa, u: NodeId, dir: Direction) -> Vec<NaiveCell> {
+        let mut seen = HashSet::from([(u, nfa.start())]);
+        let mut order = vec![(u, nfa.start(), 0, None)];
+        let mut head = 0;
+        while let Some(&(node, st, ..)) = order.get(head) {
+            for &(l, t) in nfa.transitions(st) {
+                let arcs: Vec<(Option<Symbol>, NodeId)> = match (l, dir) {
+                    (Label::Eps, _) => vec![(None, node)],
+                    (_, Direction::Forward) => {
+                        db.out_edges(node).map(|(b, n)| (Some(b), n)).collect()
+                    }
+                    (_, Direction::Backward) => {
+                        db.in_edges(node).map(|(b, n)| (Some(b), n)).collect()
+                    }
+                };
+                for (sym, next) in arcs {
+                    if sym.is_none_or(|b| l.reads(b)) && seen.insert((next, t)) {
+                        order.push((next, t, head, sym));
+                    }
+                }
+            }
+            head += 1;
+        }
+        order
+    }
+
+    /// The row of `u`, from [`naive_bfs`].
+    fn naive_closure(db: &GraphDb, nfa: &Nfa, u: NodeId, dir: Direction) -> Vec<NodeId> {
+        let cells = naive_bfs(db, nfa, u, dir);
+        let mut row: Vec<NodeId> = cells
+            .iter()
+            .filter(|c| nfa.is_final(c.1))
+            .map(|c| c.0)
+            .collect();
+        row.sort_unstable();
+        row.dedup();
+        row
+    }
+
+    /// The path the forward BFS `cells` pops first at `(to, final)`.
+    fn naive_path(cells: &[NaiveCell], nfa: &Nfa, to: NodeId) -> Option<Path> {
+        let mut at = cells.iter().position(|c| c.0 == to && nfa.is_final(c.1))?;
+        let mut steps = Vec::new();
+        while at != 0 {
+            let (node, _, parent, sym) = cells[at];
+            steps.extend(sym.map(|a| (a, node)));
+            at = parent;
+        }
+        let mut path = Path::trivial(cells[0].0);
+        for (a, v) in steps.into_iter().rev() {
+            path.push(a, v);
+        }
+        Some(path)
+    }
+
+    /// A random multigraph over `abc`, from a fixed xorshift stream.
+    fn random_db(nodes: usize, arcs: usize, mut seed: u64) -> GraphDb {
+        let mut next = move |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let mut b = GraphBuilder::new(Arc::new(Alphabet::from_chars("abc")));
+        let ids: Vec<NodeId> = (0..nodes).map(|_| b.add_node()).collect();
+        for _ in 0..arcs {
+            let (u, a, v) = (ids[next(nodes)], Symbol(next(3) as u32), ids[next(nodes)]);
+            b.add_edge(u, a, v);
+        }
+        b.freeze()
     }
 
     /// Every row `cache` serves on `db`, both directions, is ascending and
@@ -1070,13 +1224,182 @@ mod tests {
     fn scratch_reuse_matches_fresh_runs() {
         let (db, nodes) = line_db("aabba");
         let m = nfa_of(&db, "a*b");
-        let mut scratch = ReachScratch::default();
         let gov = Governor::disabled();
-        for &n in &nodes {
-            let fresh = reach_set(&db, &m, n, Direction::Forward, None);
-            let reused =
-                reach_set_governed(&db, &m, n, Direction::Forward, None, &mut scratch, gov);
-            assert_eq!(fresh, reused);
+        for _ in 0..2 {
+            for &n in &nodes {
+                let reused = reach_set_governed(&db, &m, n, Direction::Forward, None, gov);
+                assert_eq!(*reused, naive_closure(&db, &m, n, Direction::Forward));
+            }
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_every_search_across_graph_sizes_and_aborts() {
+        // Rows both ways, pinned pairs, images and witness paths on one
+        // thread: a large graph, then a small one, then the large one
+        // again, each search checked against the naive BFS.
+        let (large, small) = (random_db(2_000, 5_000, 0x9e37), random_db(12, 30, 0x51));
+        let (mut pair_tripped, mut path_tripped) = (false, false);
+        for db in [&large, &small, &large] {
+            let sample: Vec<NodeId> = db.nodes().step_by(db.node_count() / 12).collect();
+            for pat in ["a(b|c)*", "(a|b)*c", "..", "c(a|b)*a"] {
+                let m = nfa_of(db, pat);
+                let rev = reverse_nfa(&m);
+                let mut cache = ReachCache::new(m.clone());
+                let mut set = DenseBitSet::new(db.node_count());
+                let (mut post, mut pre) = (Vec::new(), Vec::new());
+                for &u in &sample {
+                    set.insert(u.index());
+                    let cells = naive_bfs(db, &m, u, Direction::Forward);
+                    let row = naive_closure(db, &m, u, Direction::Forward);
+                    let back = naive_closure(db, &rev, u, Direction::Backward);
+                    assert_eq!(*cache.targets(db, u), row, "{pat} row of {u:?}");
+                    assert_eq!(*cache.sources(db, u), back, "{pat} sources of {u:?}");
+                    post.extend(row.iter().copied());
+                    pre.extend(back);
+                    for &v in &sample {
+                        let mut fresh = ReachCache::new(m.clone());
+                        let hit = row.binary_search(&v).is_ok();
+                        assert_eq!(fresh.connects_pair(db, u, v), hit, "{pat} {u:?}->{v:?}");
+                        let path = edge_path(db, &m, u, v);
+                        assert_eq!(path, naive_path(&cells, &m, v), "{pat} path {u:?}->{v:?}");
+                        // Trip one long pair search and one long path
+                        // search mid-way; every later search must agree.
+                        if !pair_tripped && fresh.stats.states() > 3 {
+                            let gov = Arc::new(Governor::unlimited().with_injection(3));
+                            let mut tripped = ReachCache::new(m.clone());
+                            tripped.govern(Some(gov.clone()));
+                            assert!(!tripped.connects_pair(db, u, v) && gov.is_aborted());
+                            assert!(tripped.pairs.is_empty());
+                            pair_tripped = true;
+                        }
+                        let counting = Governor::unlimited();
+                        edge_path_governed(db, &m, u, v, &counting);
+                        if !path_tripped && counting.steps_taken() > 2 * CHECK_STRIDE as u64 {
+                            let gov = Governor::unlimited().with_max_steps(100);
+                            assert!(edge_path_governed(db, &m, u, v, &gov).is_none());
+                            assert_eq!(gov.abort_reason(), Some(AbortReason::Fuel));
+                            path_tripped = true;
+                        }
+                    }
+                }
+                for (dir, want) in [(Direction::Forward, post), (Direction::Backward, pre)] {
+                    let mut want: Vec<usize> = want.into_iter().map(NodeId::index).collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    let got = cache.image(db, &set, dir).expect("ungoverned");
+                    assert_eq!(got.ones().collect::<Vec<_>>(), want, "{pat} image {dir:?}");
+                }
+            }
+        }
+        assert!(pair_tripped && path_tripped, "both trips happened");
+    }
+
+    #[test]
+    fn charges_depend_on_the_query_not_the_thread() {
+        // The same governed searches, here after this thread searched a
+        // larger graph and on another thread, are charged alike.
+        let (db, nodes) = line_db(&"abc".repeat(333));
+        assert_eq!(db.node_count(), 1_000);
+        let m = nfa_of(&db, "(a|b|c)+");
+        let visited = (db.node_count() * m.state_count()).div_ceil(8);
+        let run = move || {
+            // A first row under a ceiling below the visited set trips,
+            // and its row is not memoized.
+            let gov = Arc::new(Governor::unlimited().with_mem_limit(visited - 1));
+            let mut cache = ReachCache::new(m.clone());
+            cache.govern(Some(gov.clone()));
+            cache.targets(&db, nodes[0]);
+            assert_eq!(gov.abort_reason(), Some(AbortReason::Memory));
+            assert!(cache.fwd.is_empty(), "a tripped row is memoized");
+            // Rows, a pinned pair, an image and a witness path, metered.
+            let gov = Arc::new(Governor::unlimited().with_mem_limit(1 << 40));
+            let mut cache = ReachCache::new(m.clone());
+            cache.govern(Some(gov.clone()));
+            let row = cache.targets(&db, nodes[0]);
+            assert_eq!(row.len(), 999);
+            let memo = row.len() * 4 + 48;
+            assert_eq!(gov.mem_charged(), visited + memo, "the visited set once");
+            cache.targets(&db, nodes[1]);
+            let mut fresh = ReachCache::new(m.clone());
+            fresh.govern(Some(gov.clone()));
+            assert!(fresh.connects_pair(&db, nodes[10], nodes[20]));
+            let mut set = DenseBitSet::new(db.node_count());
+            set.insert(nodes[500].index());
+            assert!(fresh.image(&db, &set, Direction::Backward).is_some());
+            assert!(edge_path_governed(&db, &m, nodes[0], nodes[9], &gov).is_some());
+            assert!(!gov.is_aborted());
+            gov.mem_charged()
+        };
+        let big = random_db(3_000, 9_000, 0x2545);
+        reach_set(
+            &big,
+            &nfa_of(&big, "(a|b|c)+"),
+            NodeId(0),
+            Direction::Forward,
+            None,
+        );
+        let here = run();
+        let there = std::thread::spawn(run).join().unwrap();
+        assert_eq!(here, there);
+    }
+
+    #[test]
+    fn pinned_check_on_a_large_graph_fits_a_small_ceiling_on_a_fresh_thread() {
+        // 100k nodes, arcs `i -a-> i+1` and `i -b-> i+2`: a pinned check ten
+        // nodes apart touches a few dozen nodes on both sweeps, and is
+        // charged for those alone — far below 1 MiB, however large the
+        // graph is or however cold the thread's scratch.
+        std::thread::spawn(|| {
+            let mut b = GraphBuilder::new(Arc::new(Alphabet::from_chars("ab")));
+            let (a, bb) = (b.alphabet().sym("a"), b.alphabet().sym("b"));
+            let nodes: Vec<NodeId> = (0..100_000).map(|_| b.add_node()).collect();
+            for w in nodes.windows(3) {
+                b.add_edge(w[0], a, w[1]);
+                b.add_edge(w[0], bb, w[2]);
+            }
+            let db = b.freeze();
+            let m = nfa_of(&db, "(a|b)+a");
+            let gov = Arc::new(Governor::unlimited().with_mem_limit(1 << 20));
+            let mut cache = ReachCache::new(m);
+            cache.govern(Some(gov.clone()));
+            assert!(cache.connects_pair(&db, nodes[50_000], nodes[50_010]));
+            assert!(!cache.connects_pair(&db, nodes[99_999], nodes[50_000]));
+            assert!(!gov.is_aborted(), "charged {} bytes", gov.mem_charged());
+            assert!(
+                gov.mem_charged() < 16 << 10,
+                "charged {} bytes",
+                gov.mem_charged()
+            );
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn a_search_that_panics_leaves_the_thread_a_clean_scratch() {
+        let (db, nodes) = line_db("aabbaab");
+        let m = nfa_of(&db, "a*b");
+        let bwd = reverse_nfa(&m);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_scratch(|s, _| {
+                let gov = Governor::disabled();
+                let dir = Direction::Forward;
+                s.bfs
+                    .run::<false>(&db, &m, nodes[0], dir, None, gov, |_| panic!("mid search"));
+            });
+        }));
+        assert!(panicked.is_err());
+        // Sources other than the one that panicked come first.
+        for &u in nodes.iter().rev() {
+            let row = naive_closure(&db, &m, u, Direction::Forward);
+            assert_eq!(*reach_set(&db, &m, u, Direction::Forward, None), row);
+            let back = naive_closure(&db, &bwd, u, Direction::Backward);
+            assert_eq!(*reach_set(&db, &bwd, u, Direction::Backward, None), back);
+            for &v in &nodes {
+                let hit = row.binary_search(&v).is_ok();
+                assert_eq!(ReachCache::new(m.clone()).connects_pair(&db, u, v), hit);
+            }
         }
     }
 
@@ -1338,31 +1661,21 @@ mod tests {
         let (db, nodes) = line_db("aabbaacab");
         let m = nfa_of(&db, "(a|b|c)*");
         let full = reach_set(&db, &m, nodes[0], Direction::Forward, None);
-        let mut scratch = ReachScratch::default();
         for fuel in 0..20u64 {
             let gov = Governor::unlimited().with_max_steps(fuel);
-            let partial = reach_set_governed(
-                &db,
-                &m,
-                nodes[0],
-                Direction::Forward,
-                None,
-                &mut scratch,
-                &gov,
-            );
+            let partial = reach_set_governed(&db, &m, nodes[0], Direction::Forward, None, &gov);
             assert!(
                 ascending(&partial) && is_subset(&partial, &full),
                 "fuel {fuel}: partial must under-approximate"
             );
             // The scratch invariant survives the abort: an ungoverned rerun
-            // through the same scratch still computes the full answer.
+            // on the same thread's scratch still computes the full answer.
             let again = reach_set_governed(
                 &db,
                 &m,
                 nodes[0],
                 Direction::Forward,
                 None,
-                &mut scratch,
                 Governor::disabled(),
             );
             assert_eq!(again, full, "fuel {fuel}: scratch left dirty by abort");
@@ -1462,7 +1775,7 @@ mod tests {
             let partial = cache.targets(&db, u);
             assert_eq!(
                 gov.abort_reason(),
-                Some(crate::governor::AbortReason::Fuel),
+                Some(AbortReason::Fuel),
                 "budget {} at {u:?}",
                 states - 1
             );

@@ -191,10 +191,6 @@ pub struct SolveOptions {
     /// [`PipelineStats::analysis`]. On in the pipeline presets; the naive
     /// preset stays unanalyzed as the differential reference.
     pub analyze: bool,
-    /// State budget per bounded inclusion/universality check in the
-    /// analyzer; checks that exceed it are abandoned (both atoms kept,
-    /// `containment-capped` diagnostic).
-    pub containment_budget: usize,
     /// Resource governor for this run (`None` = ungoverned): every search
     /// phase checkpoints against it, and a trip drains the whole pipeline
     /// cooperatively — `solve_with` then returns having reported only a
@@ -212,7 +208,9 @@ pub struct SolveOptions {
 }
 
 impl SolveOptions {
-    /// Default state budget for the analyzer's bounded containment checks.
+    /// State budget per bounded inclusion/universality check in the
+    /// analyzer; checks that exceed it are abandoned (both atoms kept,
+    /// `containment-capped` diagnostic).
     pub const DEFAULT_CONTAINMENT_BUDGET: usize = 512;
 
     /// The full pipeline for exhaustive enumeration (`answers`-style calls).
@@ -224,7 +222,6 @@ impl SolveOptions {
             lazy_unpinned: false,
             project: false,
             analyze: true,
-            containment_budget: Self::DEFAULT_CONTAINMENT_BUDGET,
             governor: None,
             plan_seed: None,
         }
@@ -242,7 +239,6 @@ impl SolveOptions {
             lazy_unpinned: true,
             project: false,
             analyze: true,
-            containment_budget: Self::DEFAULT_CONTAINMENT_BUDGET,
             governor: None,
             plan_seed: None,
         }
@@ -261,7 +257,6 @@ impl SolveOptions {
             lazy_unpinned: false,
             project: false,
             analyze: false,
-            containment_budget: Self::DEFAULT_CONTAINMENT_BUDGET,
             governor: None,
             plan_seed: None,
         }
@@ -774,7 +769,7 @@ impl Problem {
             &self.groups,
             db,
             &crate::analyze::AnalyzeOptions {
-                containment_budget: opts.containment_budget,
+                containment_budget: SolveOptions::DEFAULT_CONTAINMENT_BUDGET,
             },
             frozen.as_deref(),
         );

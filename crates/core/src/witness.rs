@@ -11,8 +11,8 @@
 use crate::governor::Governor;
 use crate::pattern::{GraphPattern, NodeVar};
 use crate::sync::{SyncSearch, SyncSpec, SyncState};
-use cxrpq_automata::{Label, Nfa, StateId};
-use cxrpq_graph::{DenseBitSet, GraphDb, NodeId, Path, Symbol};
+use cxrpq_automata::Nfa;
+use cxrpq_graph::{GraphDb, NodeId, Path, Symbol};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A complete certificate for one matching morphism.
@@ -111,17 +111,17 @@ impl QueryWitness {
 /// product `D × M` with parent pointers. Returns a shortest such path (in
 /// number of product steps). `None` iff no such path exists.
 ///
-/// The product space is the dense rectangle `|V_D| × |Q|`, so the visited
-/// set is one [`DenseBitSet`] bit per `node · |Q| + state` cell (no
-/// hashing on the dedup test) while the parent forest stays sparse —
-/// memory proportional to the explored region — and transitions expand
-/// over contiguous per-label CSR ranges.
+/// This is the state BFS of [`crate::reach`], run on the thread's search
+/// scratch: a dense visited bit per `node · |Q| + state` cell, transitions
+/// expanded over contiguous per-label CSR ranges, and beside each queued
+/// cell its parent's queue index and the symbol read, so the path is read
+/// back off the queue. The search stops when `(to, final)` is popped.
 pub fn edge_path(db: &GraphDb, nfa: &Nfa, from: NodeId, to: NodeId) -> Option<Path> {
     edge_path_governed(db, nfa, from, to, Governor::disabled())
 }
 
-/// [`edge_path`] under a [`Governor`]: one checkpoint per popped product
-/// cell. An abort returns `None` — the caller's witness extraction fails
+/// [`edge_path`] under a [`Governor`]: one checkpoint per 64 popped product
+/// cells. An abort returns `None` — the caller's witness extraction fails
 /// soundly (no spurious path is ever produced) and the top level reports
 /// the abort from the governor's verdict.
 pub fn edge_path_governed(
@@ -131,67 +131,7 @@ pub fn edge_path_governed(
     to: NodeId,
     gov: &Governor,
 ) -> Option<Path> {
-    let q = nfa.state_count();
-    let key = |node: NodeId, st: StateId| node.index() * q + st.index();
-    let start = key(from, nfa.start());
-    const NO_SYM: u32 = u32::MAX;
-    gov.charge_mem((db.node_count() * q).div_ceil(8));
-    let mut visited = DenseBitSet::new(db.node_count() * q);
-    // Per visited cell: parent product-index and the symbol consumed on
-    // the step into the cell (NO_SYM = ε). The root has no entry.
-    let mut parent: HashMap<usize, (usize, u32)> = HashMap::new();
-    let mut queue: VecDeque<(NodeId, StateId)> = VecDeque::new();
-    visited.insert(start);
-    queue.push_back((from, nfa.start()));
-    let mut goal: Option<usize> = None;
-    'bfs: while let Some((node, st)) = queue.pop_front() {
-        if !gov.checkpoint() {
-            return None;
-        }
-        let cur = key(node, st);
-        if node == to && nfa.is_final(st) {
-            goal = Some(cur);
-            break 'bfs;
-        }
-        for &(l, t) in nfa.transitions(st) {
-            let range: cxrpq_graph::EdgeRun<'_> = match l {
-                Label::Eps => {
-                    let next = key(node, t);
-                    if visited.insert(next) {
-                        parent.insert(next, (cur, NO_SYM));
-                        queue.push_back((node, t));
-                    }
-                    continue;
-                }
-                Label::Sym(a) => db.successors_with(node, a),
-                Label::Any => db.out_edges(node),
-            };
-            for (b, v) in range {
-                let next = key(v, t);
-                if visited.insert(next) {
-                    parent.insert(next, (cur, b.0));
-                    queue.push_back((v, t));
-                }
-            }
-        }
-    }
-    let mut cur = goal?;
-    // Reconstruct: walk parents back, recording (symbol, node-after-step).
-    let mut steps: Vec<(Symbol, NodeId)> = Vec::new();
-    while cur != start {
-        let (prev, sym) = parent[&cur];
-        if sym != NO_SYM {
-            steps.push((Symbol(sym), NodeId((cur / q) as u32)));
-        }
-        cur = prev;
-    }
-    steps.reverse();
-    let mut path = Path::trivial(from);
-    for (a, v) in steps {
-        path.push(a, v);
-    }
-    debug_assert_eq!(path.end(), to);
-    Some(path)
+    crate::reach::product_path(db, nfa, from, to, gov)
 }
 
 /// Finds one tuple of jointly-constrained paths: walker `i` runs
