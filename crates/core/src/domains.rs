@@ -17,20 +17,36 @@
 //! is decided by
 //! [`ReachCache::connects_pair`](crate::reach::ReachCache::connects_pair),
 //! never by `u`'s whole forward closure, and the memoized verdict also
-//! answers the enumerator's later check of the edge. Passes repeat to a
-//! fixpoint (capped by the caller — early-exiting `boolean`/`check` calls
-//! cap low), visiting edges cheapest-first per the plan so the sharpest
-//! filters narrow the domains other edges then read rows over. Rows are
-//! *domain-restricted*: a pass reads the row of each member of the
-//! current near-side domain, never of all of `db.nodes()`, so every later
-//! round costs traffic proportional to what pruning has already achieved.
-//! Under streaming appends the caches invalidate per label
-//! ([`GraphDb::delta_since`]): an edge automaton whose alphabet misses
-//! every appended label keeps its rows across generations.
+//! answers the enumerator's later check of the edge. Passes visit edges
+//! cheapest-first per the plan, so the sharpest filters narrow the domains
+//! other edges then read rows over. Rows are *domain-restricted*: a join
+//! reads the row of each member of the current near-side domain, never of
+//! all of `db.nodes()`, so every later round costs traffic proportional to
+//! what pruning has already achieved. Under streaming appends the caches
+//! invalidate per label ([`GraphDb::delta_since`]): an edge automaton whose
+//! alphabet misses every appended label keeps its rows across generations.
 //!
-//! **One row per member.** A pass reads each near member's row once,
-//! through [`ReachCache::row`](crate::reach::ReachCache::row): a memo hit,
-//! or one per-source product BFS on the thread's search scratch (see
+//! **Worklist.** One join leaves an edge between distinct variables
+//! arc-consistent, so a pass joins an edge again only when one of its
+//! endpoint domains shrank since its last join; a pass that joins nothing
+//! is the fixpoint. A self-loop `(x, M, x)` is the exception (a kept
+//! candidate's support may fall in the same join), so a join that shrank
+//! it is followed by another.
+//!
+//! **Stop rule.** Arc consistency cannot see cycles: on a cyclic core,
+//! passes go on peeling a few candidates each long after that stops paying
+//! for the rows they re-read. From the second pass on, a pass that shrinks
+//! the visited edges' summed endpoint-domain sizes by less than 10%
+//! (`MIN_SHRINK_PERCENT`) ends the prune (the enumerator checks every
+//! edge anyway); the caller's round cap is only a safety net.
+//!
+//! **Rows.** A join reads each near member's row once. A one-letter atom's
+//! row (`plan::single_step_symbols` is `Some`) is the member's label runs
+//! in the CSR ([`GraphDb::successors_with`] /
+//! [`GraphDb::predecessors_with`]): no product search, nothing memoized.
+//! Any other atom's row comes from
+//! [`ReachCache::row`](crate::reach::ReachCache::row): a memo hit, or one
+//! per-source product BFS on the thread's search scratch (see
 //! [`crate::reach`]).
 //!
 //! Groups do not run their synchronized product search per candidate (it
@@ -61,20 +77,21 @@
 //! full domain. The analyzer's degree-2 contraction is another matter: it
 //! rewrites Check and Boolean runs too, since they also run under
 //! projection pushdown.
-//!
-//! **Source narrowing.** The first pass over an edge between two full
-//! domains fills a row for every node. For an atom whose words all have
-//! two or more letters most of those rows are empty, so on unpinned runs
-//! [`Domains::narrow_sources`] first keeps only `Pre_M(dom(y))` in
-//! `dom(x)`, by one backward sweep. The rows the pass then fills are the
-//! ones the enumerator reads; one-letter atoms skip this, since their
-//! first fill costs no more than the sweep.
 
 use crate::governor::Governor;
 use crate::pattern::NodeVar;
+use crate::plan::single_step_symbols;
 use crate::reach::Direction;
 use crate::solve::FreeEdge;
-use cxrpq_graph::{DenseBitSet, GraphDb, NodeId};
+use cxrpq_graph::{DenseBitSet, GraphDb, NodeId, Symbol};
+
+/// The least shrink, in percent of the summed endpoint-domain sizes, that
+/// keeps pruning going after the first pass (see the module docs).
+const MIN_SHRINK_PERCENT: usize = 10;
+
+/// Near-side members a one-letter join reads off the CSR between two
+/// governor checkpoints.
+const CSR_STRIDE: usize = 64;
 
 /// Per-variable candidate domains over one database's node set.
 pub struct Domains {
@@ -95,19 +112,11 @@ pub struct Peel {
     pub emptied: bool,
 }
 
-/// What source narrowing did ([`Domains::narrow_sources`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Narrowed {
-    /// Source domains narrowed by a sweep.
-    pub domains: usize,
-    /// Whether a domain emptied (no solutions).
-    pub emptied: bool,
-}
-
 /// What one pruning run did, for [`PipelineStats`](crate::solve::PipelineStats).
 #[derive(Clone, Debug, Default)]
 pub struct PruneOutcome {
-    /// Semi-join passes executed (0 = nothing to prune).
+    /// Semi-join passes that joined at least one edge (0 = nothing to
+    /// prune).
     pub rounds: usize,
     /// Whether some constrained domain emptied (the problem is
     /// unsatisfiable and enumeration can be skipped).
@@ -175,94 +184,94 @@ impl Domains {
         self.doms[v.index()].ones().map(|i| NodeId(i as u32))
     }
 
-    /// One semi-join pass over `edges` in the given visit order; returns
-    /// whether any domain shrank.
-    ///
-    /// Each edge is joined *from its smaller endpoint domain*: forward
-    /// (targets from `dom(src)`) or backward (sources from `dom(dst)`,
-    /// via the reversed automaton) — so a pinned destination costs one
-    /// backward search from the singleton, never one forward search per
-    /// node of the universe. An edge between two singleton domains is
-    /// decided by one pinned-pair search and empties both on a miss.
-    fn pass(
-        &mut self,
-        db: &GraphDb,
-        edges: &mut [FreeEdge],
-        order: &[usize],
-        gov: &Governor,
-    ) -> bool {
-        let mut changed = false;
-        for &i in order {
-            if !gov.checkpoint() {
-                break; // drain: an aborted pass only ever shrank domains
+    /// Empties `v`'s domain.
+    fn clear(&mut self, v: NodeVar) {
+        self.doms[v.index()].clear();
+        self.sizes[v.index()] = 0;
+    }
+
+    /// Summed endpoint-domain sizes of the edges in `order` (the stop
+    /// rule's measure).
+    fn endpoint_total(&self, edges: &[FreeEdge], order: &[usize]) -> usize {
+        order
+            .iter()
+            .map(|&i| self.sizes[edges[i].src.index()] + self.sizes[edges[i].dst.index()])
+            .sum()
+    }
+
+    /// One semi-join of edge `e`, from its smaller endpoint domain: forward
+    /// (targets from `dom(src)`) or backward (sources from `dom(dst)`, via
+    /// the reversed automaton) — so a pinned destination costs one backward
+    /// search from the singleton, never one forward search per node of the
+    /// universe. An edge between two singleton domains is decided by one
+    /// pinned-pair search and empties both on a miss. With `syms` (a
+    /// one-letter atom's symbols) the rows are the CSR's label runs; a
+    /// governor trip there ends the join with `far` unchanged.
+    fn join(&mut self, db: &GraphDb, e: &mut FreeEdge, syms: Option<&[Symbol]>, gov: &Governor) {
+        let (src, dst) = (e.src, e.dst);
+        if self.sizes[src.index()] == 1 && self.sizes[dst.index()] == 1 {
+            // Both endpoints decided: one bidirectional pair search.
+            let u = self.iter(src).next().expect("singleton domain");
+            let v = self.iter(dst).next().expect("singleton domain");
+            if !e.cache.connects_pair(db, u, v) {
+                self.clear(src);
+                self.clear(dst);
             }
-            let (src, dst) = (edges[i].src, edges[i].dst);
-            if self.sizes[src.index()] == 1 && self.sizes[dst.index()] == 1 {
-                // Both endpoints decided: one bidirectional pair search.
-                let u = self.iter(src).next().expect("singleton domain");
-                let v = self.iter(dst).next().expect("singleton domain");
-                if !edges[i].cache.connects_pair(db, u, v) {
-                    for x in [src, dst] {
-                        self.doms[x.index()].clear();
-                        self.sizes[x.index()] = 0;
-                    }
-                    changed = true;
+            return;
+        }
+        // The joined-from side (`near`) and the derived side (`far`).
+        let (dir, near, far) = if self.sizes[src.index()] <= self.sizes[dst.index()] {
+            (Direction::Forward, src, dst)
+        } else {
+            (Direction::Backward, dst, src)
+        };
+        let near_members = self.members(near);
+        if near_members.is_empty() {
+            return; // already empty; the caller reports it
+        }
+        gov.charge_mem(self.universe.div_ceil(8));
+        let mut new_far = DenseBitSet::new(self.universe);
+        let mut new_far_size = 0usize;
+        for (k, &u) in near_members.iter().enumerate() {
+            let batch = (near_members.len() - k).min(CSR_STRIDE) as u64;
+            if syms.is_some() && k % CSR_STRIDE == 0 && !gov.checkpoint_n(batch) {
+                return;
+            }
+            let far_dom = &self.doms[far.index()];
+            let mut supported = false;
+            let mut see = |v: NodeId| {
+                if far_dom.contains(v.index()) {
+                    supported = true;
+                    new_far_size += usize::from(new_far.insert(v.index()));
                 }
-                continue;
-            }
-            // The joined-from side (`near`) and the derived side (`far`).
-            let (dir, near, far) = if self.sizes[src.index()] <= self.sizes[dst.index()] {
-                (Direction::Forward, src, dst)
-            } else {
-                (Direction::Backward, dst, src)
             };
-            let near_members = self.members(near);
-            if near_members.is_empty() {
-                // Already empty; the caller bails after the pass.
-                continue;
-            }
-            gov.charge_mem(self.universe.div_ceil(8));
-            let mut new_far = DenseBitSet::new(self.universe);
-            let mut new_far_size = 0usize;
-            let mut kept_near = 0usize;
-            for &u in &near_members {
-                let across = edges[i].cache.row(db, u, dir);
-                let mut supported = false;
-                for &v in across.iter() {
-                    if self.doms[far.index()].contains(v.index()) {
-                        supported = true;
-                        if new_far.insert(v.index()) {
-                            new_far_size += 1;
-                        }
+            match syms {
+                Some(syms) => {
+                    for &a in syms {
+                        let run = match dir {
+                            Direction::Forward => db.successors_with(u, a),
+                            Direction::Backward => db.predecessors_with(u, a),
+                        };
+                        run.for_each(|(_, v)| see(v));
                     }
                 }
-                if supported {
-                    kept_near += 1;
-                } else {
-                    self.doms[near.index()].remove(u.index());
-                    changed = true;
-                }
+                None => e.cache.row(db, u, dir).iter().for_each(|&v| see(v)),
             }
-            self.sizes[near.index()] = kept_near;
-            // A self-loop edge (src == dst) must intersect with the
-            // near-side removals above, so re-derive instead of overwrite.
-            if src == dst {
-                let d = &mut self.doms[far.index()];
-                d.intersect_with(&new_far);
-                let size = d.count();
-                if size != self.sizes[far.index()] {
-                    changed = true;
-                }
-                self.sizes[far.index()] = size;
-            } else {
-                if new_far_size != self.sizes[far.index()] {
-                    changed = true;
-                }
-                self.doms[far.index()] = new_far;
-                self.sizes[far.index()] = new_far_size;
+            if !supported {
+                self.doms[near.index()].remove(u.index());
+                self.sizes[near.index()] -= 1;
             }
         }
-        changed
+        if src == dst {
+            // A self-loop must intersect with the near-side removals above,
+            // so re-derive instead of overwrite.
+            let d = &mut self.doms[far.index()];
+            d.intersect_with(&new_far);
+            self.sizes[far.index()] = d.count();
+        } else {
+            self.doms[far.index()] = new_far;
+            self.sizes[far.index()] = new_far_size;
+        }
     }
 
     /// Peels existential leaves bottom-up (see the module docs). A
@@ -327,51 +336,14 @@ impl Domains {
         out
     }
 
-    /// Narrows the source domain of every edge not flagged in `skip` that
-    /// runs between two full domains and whose words all have two or more
-    /// letters: `dom(src) ∩= Pre_M(dom(dst))` by one set sweep, so the
-    /// first semi-join pass fills rows only for sources that reach
-    /// something. A governor trip stops before the interrupted sweep
-    /// touches any domain.
-    pub fn narrow_sources(
-        &mut self,
-        db: &GraphDb,
-        edges: &mut [FreeEdge],
-        skip: &[bool],
-        gov: &Governor,
-    ) -> Narrowed {
-        let mut out = Narrowed::default();
-        for (i, e) in edges.iter_mut().enumerate() {
-            let (s, d) = (e.src.index(), e.dst.index());
-            if skip.get(i).copied().unwrap_or(false)
-                || s == d
-                || self.sizes[s] != self.universe
-                || self.sizes[d] != self.universe
-                || !crate::plan::multi_step(e.cache.nfa())
-            {
-                continue;
-            }
-            let Some(image) = e.cache.image(db, &self.doms[d], Direction::Backward) else {
-                break;
-            };
-            gov.charge_mem(self.universe.div_ceil(8));
-            self.doms[s].intersect_with(&image);
-            self.sizes[s] = self.doms[s].count();
-            out.domains += 1;
-            if self.sizes[s] == 0 {
-                out.emptied = true;
-                break;
-            }
-        }
-        out
-    }
-
-    /// Runs semi-join passes to a fixpoint or `max_rounds`, cheapest edge
-    /// first when per-edge `costs` (index-aligned with `edges`, which may
-    /// include synthesized group-walker edges beyond the plan's real ones)
-    /// are given. Edges flagged in `skip` (a [`Peel`]'s `peeled`, possibly
-    /// shorter than `edges`) are left out. Domains of variables in no
-    /// visited edge are untouched.
+    /// Runs semi-join passes over a worklist of edges until a pass joins
+    /// nothing, a pass after the first shrinks too little (see the module
+    /// docs) or `max_rounds` passes ran, cheapest edge first when per-edge
+    /// `costs` (index-aligned with `edges`, which may include synthesized
+    /// group-walker edges beyond the plan's real ones) are given. Edges
+    /// flagged in `skip` (a [`Peel`]'s `peeled`, possibly shorter than
+    /// `edges`) are left out. Domains of variables in no visited edge are
+    /// untouched; when one domain empties, every visited one is emptied.
     pub fn prune(
         &mut self,
         db: &GraphDb,
@@ -392,22 +364,54 @@ impl Domains {
             debug_assert_eq!(c.len(), edges.len());
             order.sort_by_key(|&i| (c[i], i));
         }
-        for _ in 0..max_rounds {
-            if gov.is_aborted() {
-                break; // fixpoint abandoned; domains only ever shrank
+        let syms: Vec<Option<Vec<Symbol>>> = edges
+            .iter()
+            .map(|e| single_step_symbols(e.cache.nfa()))
+            .collect();
+        // Endpoint domain sizes as of each edge's last join; domains only
+        // shrink, so equal sizes mean unchanged domains.
+        let mut joined_at: Vec<Option<(usize, usize)>> = vec![None; edges.len()];
+        let mut total = self.endpoint_total(edges, &order);
+        while out.rounds < max_rounds && !gov.is_aborted() {
+            let mut joined_any = false;
+            for &i in &order {
+                let (s, d) = (edges[i].src.index(), edges[i].dst.index());
+                let before = (self.sizes[s], self.sizes[d]);
+                if joined_at[i] == Some(before) {
+                    continue;
+                }
+                if !gov.checkpoint() {
+                    break; // drain: an aborted pass only ever shrank domains
+                }
+                joined_any = true;
+                self.join(db, &mut edges[i], syms[i].as_deref(), gov);
+                // A self-loop keeps the sizes it was joined at, so a join
+                // that shrank it is followed by another.
+                joined_at[i] = Some(if s == d {
+                    before
+                } else {
+                    (self.sizes[s], self.sizes[d])
+                });
+                if self.sizes[s] == 0 || self.sizes[d] == 0 {
+                    // No solutions, so no candidates: the pass stops here.
+                    for &j in &order {
+                        self.clear(edges[j].src);
+                        self.clear(edges[j].dst);
+                    }
+                    out.rounds += 1;
+                    out.emptied = true;
+                    return out;
+                }
             }
-            out.rounds += 1;
-            let changed = self.pass(db, edges, &order, gov);
-            let emptied = order.iter().any(|&i| {
-                self.sizes[edges[i].src.index()] == 0 || self.sizes[edges[i].dst.index()] == 0
-            });
-            if emptied {
-                out.emptied = true;
-                return out;
-            }
-            if !changed {
+            if !joined_any {
                 break;
             }
+            out.rounds += 1;
+            let after = self.endpoint_total(edges, &order);
+            if out.rounds >= 2 && (total - after) * 100 < total * MIN_SHRINK_PERCENT {
+                break;
+            }
+            total = after;
         }
         out
     }
@@ -419,6 +423,7 @@ mod tests {
     use crate::reach::ReachCache;
     use cxrpq_automata::{parse_regex, Nfa};
     use cxrpq_graph::{Alphabet, GraphBuilder, GraphDb};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn line_db(word: &str) -> (GraphDb, Vec<NodeId>) {
@@ -547,32 +552,136 @@ mod tests {
     }
 
     #[test]
-    fn narrowing_keeps_sources_that_reach_a_target() {
+    fn one_edge_problem_joins_once() {
         let (db, nodes) = line_db(&"abcab".repeat(20));
-        let off = Governor::disabled();
-        // ab is multi-step: only the nodes before each ab start an ab path.
-        let mut edges = vec![edge(&db, 0, 1, "ab"), edge(&db, 1, 2, "c")];
-        let mut doms = Domains::full(3, db.node_count());
-        let out = doms.narrow_sources(&db, &mut edges, &[], off);
-        assert_eq!((out.domains, out.emptied), (1, false));
+        let mut edges = vec![edge(&db, 0, 1, "ab")];
+        let mut doms = Domains::full(2, db.node_count());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
+        assert_eq!((out.rounds, out.emptied), (1, false));
         let starts: Vec<NodeId> = (0..20)
             .flat_map(|k| [nodes[5 * k], nodes[5 * k + 3]])
             .collect();
         assert_eq!(doms.members(NodeVar(0)), starts);
-        // The one-letter atom and the touched domain are left alone.
-        assert_eq!(doms.size(NodeVar(1)), db.node_count());
-        let mut dead = vec![edge(&db, 0, 1, "cc")];
+        // Exactly the forward rows of the full source domain, and no more.
+        let fresh = edge(&db, 0, 1, "ab");
+        let mut cache = fresh.cache;
+        for n in db.nodes() {
+            cache.targets(&db, n);
+        }
+        assert_eq!(edges[0].cache.stats.states(), cache.stats.states());
+    }
+
+    /// A small pseudo-random graph over `abc`.
+    fn scattered_db(nodes: usize, arcs: usize, seed: u64) -> GraphDb {
+        let alpha = Arc::new(Alphabet::from_chars("abc"));
+        let mut b = GraphBuilder::new(alpha);
+        let ids: Vec<NodeId> = (0..nodes).map(|_| b.add_node()).collect();
+        let labels = ["a", "b", "c"].map(|l| b.alphabet().sym(l));
+        let mut x = seed;
+        let mut next = |m: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize % m
+        };
+        for _ in 0..arcs {
+            let (s, l, d) = (next(nodes), next(3), next(nodes));
+            b.add_edge(ids[s], labels[l], ids[d]);
+        }
+        b.freeze()
+    }
+
+    #[test]
+    fn one_letter_atoms_read_the_csr() {
+        let db = scattered_db(40, 90, 7);
+        let arcs: Vec<(usize, Symbol, usize)> = db
+            .nodes()
+            .flat_map(|u| db.out_edges(u).map(move |(a, v)| (u.index(), a, v.index())))
+            .collect();
+        let problems: [&[(u32, u32, &[&str])]; 3] = [
+            &[(0, 1, &["a"])],
+            &[(0, 1, &["a", "b"])],
+            &[(0, 1, &["a"]), (1, 2, &["a", "b"])],
+        ];
+        for atoms in problems {
+            let vars = atoms.iter().map(|a| a.1 as usize + 1).max().unwrap();
+            let mut edges: Vec<FreeEdge> = atoms
+                .iter()
+                .map(|&(s, d, letters)| edge(&db, s, d, &letters.join("|")))
+                .collect();
+            let mut doms = Domains::full(vars, db.node_count());
+            let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
+            // The arc-consistency closure, by brute force over the arcs.
+            let mut want: Vec<BTreeSet<usize>> = vec![(0..db.node_count()).collect(); vars];
+            loop {
+                let before = want.clone();
+                for &(s, d, letters) in atoms {
+                    let (s, d) = (s as usize, d as usize);
+                    let live: Vec<(usize, usize)> = arcs
+                        .iter()
+                        .filter(|&&(u, a, v)| {
+                            letters.contains(&db.alphabet().name(a))
+                                && want[s].contains(&u)
+                                && want[d].contains(&v)
+                        })
+                        .map(|&(u, _, v)| (u, v))
+                        .collect();
+                    want[s] = live.iter().map(|&(u, _)| u).collect();
+                    want[d] = live.iter().map(|&(_, v)| v).collect();
+                }
+                if want == before {
+                    break;
+                }
+            }
+            for (v, want) in want.iter().enumerate() {
+                let want: Vec<NodeId> = want.iter().map(|&n| NodeId(n as u32)).collect();
+                assert_eq!(doms.members(NodeVar(v as u32)), want, "{atoms:?} x{v}");
+            }
+            let n = db.node_count();
+            assert!(doms.sizes().iter().all(|&k| 0 < k && k < n), "vacuous");
+            assert!(!out.emptied);
+            for e in &edges {
+                assert_eq!(e.cache.stats.states(), 0, "no product search");
+                assert_eq!(e.cache.memoized_rows(), 0, "nothing memoized");
+            }
+        }
+    }
+
+    #[test]
+    fn self_loop_on_a_line_with_one_ab_cycle_stays_exact() {
+        // a·b·a·b·a·b along n0..n6, plus n5 -b-> n4: only n4 reads ab back
+        // to itself, while n0 and n2 start ab paths that leave the cycle.
+        let (db, nodes) = {
+            let alpha = Arc::new(Alphabet::from_chars("ab"));
+            let mut b = GraphBuilder::new(alpha);
+            let (a, bs) = (b.alphabet().sym("a"), b.alphabet().sym("b"));
+            let n: Vec<NodeId> = (0..7).map(|_| b.add_node()).collect();
+            for i in 0..6 {
+                b.add_edge(n[i], if i % 2 == 0 { a } else { bs }, n[i + 1]);
+            }
+            b.add_edge(n[5], bs, n[4]);
+            (b.freeze(), n)
+        };
+        let mut edges = vec![edge(&db, 0, 0, "ab")];
+        let mut doms = Domains::full(1, db.node_count());
+        let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
+        assert!(!out.emptied);
+        assert_eq!(doms.members(NodeVar(0)), vec![nodes[4]]);
+        // {n2, n4} after one join, {n4} after the second, kept by the third.
+        assert_eq!(out.rounds, 3);
+    }
+
+    #[test]
+    fn cyclic_two_edge_problem_stops_before_the_cap() {
+        // x -a-> y -a-> x on an a-line has no solution, but arc consistency
+        // only peels a few nodes off either end per pass.
+        let (db, _) = line_db(&"a".repeat(100));
+        let mut edges = vec![edge(&db, 0, 1, "a"), edge(&db, 1, 0, "a")];
         let mut doms = Domains::full(2, db.node_count());
-        assert!(
-            doms.narrow_sources(&db, &mut dead, &[], off).emptied,
-            "no cc path"
-        );
-        // Narrowing is the same on a graph of a few nodes.
-        let (db, nodes) = line_db("cab");
-        let mut edges = vec![edge(&db, 0, 1, "ab")];
-        let mut doms = Domains::full(2, db.node_count());
-        assert_eq!(doms.narrow_sources(&db, &mut edges, &[], off).domains, 1);
-        assert_eq!(doms.members(NodeVar(0)), vec![nodes[1]]);
+        let out = doms.prune(&db, &mut edges, None, &[], 8, Governor::disabled());
+        assert!(!out.emptied);
+        assert_eq!(out.rounds, 2, "the second pass shrinks under 10%");
+        assert_eq!((doms.size(NodeVar(0)), doms.size(NodeVar(1))), (94, 94));
     }
 
     #[test]

@@ -203,33 +203,6 @@ pub(crate) fn single_step_symbols(nfa: &Nfa) -> Option<Vec<Symbol>> {
     Some(syms)
 }
 
-/// Whether every word of `L(nfa)` has at least two letters: neither the
-/// start closure nor any closure one step from it holds a final state.
-/// A one-letter atom's sources are read off the CSR rows by the first
-/// fill; a longer one needs a search to find them.
-pub(crate) fn multi_step(nfa: &Nfa) -> bool {
-    let n = nfa.state_count();
-    let closure = |seeds: &mut dyn Iterator<Item = StateId>| -> Vec<bool> {
-        let mut set = vec![false; n];
-        for s in seeds {
-            set[s.index()] = true;
-        }
-        nfa.eps_close(&mut set);
-        set
-    };
-    let start = closure(&mut std::iter::once(nfa.start()));
-    let any_final = |set: &[bool]| (0..n).any(|i| set[i] && nfa.is_final(StateId(i as u32)));
-    if any_final(&start) {
-        return false;
-    }
-    let mut next = (0..n)
-        .filter(|&i| start[i])
-        .flat_map(|i| nfa.transitions(StateId(i as u32)))
-        .filter(|&&(l, _)| l != Label::Eps)
-        .map(|&(_, t)| t);
-    !any_final(&closure(&mut next))
-}
-
 /// A constraint of the plan's constraint graph, with its endpoints and
 /// estimated cost.
 struct PlanConstraint {

@@ -1027,6 +1027,12 @@ impl ReachCache {
             self.targets(db, u).binary_search(&v).is_ok()
         }
     }
+
+    /// Rows memoized in both directions.
+    #[cfg(test)]
+    pub(crate) fn memoized_rows(&self) -> usize {
+        self.fwd.len() + self.bwd.len()
+    }
 }
 
 #[cfg(test)]

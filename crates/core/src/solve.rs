@@ -86,7 +86,7 @@
 //! *required* variables are bound; existential variables may be `None`
 //! (they are restored by the witness sub-search on its way out).
 
-use crate::domains::{Domains, Narrowed, Peel};
+use crate::domains::{Domains, Peel};
 use crate::evaluate::{Answer, Outcome, Request};
 use crate::governor::Governor;
 use crate::pattern::NodeVar;
@@ -163,7 +163,10 @@ pub struct SolveOptions {
     pub plan: bool,
     /// Phase 2: semi-join domain reduction before enumeration.
     pub prune: bool,
-    /// Cap on semi-join passes (the fixpoint usually lands earlier).
+    /// A safety cap on semi-join passes: the prune stops by itself at its
+    /// fixpoint or once a pass stops shrinking the domains by much (see
+    /// [`crate::domains`]), so the cap only bounds what a pathological
+    /// problem can cost.
     pub max_prune_rounds: usize,
     /// Skip the prune phase when no binding is pinned: without a pinned
     /// singleton to seed the fixpoint, the first pass builds a row for
@@ -302,7 +305,9 @@ pub struct PipelineStats {
     pub edge_cost: Vec<u64>,
     /// Estimated cost per group (plan phase).
     pub group_cost: Vec<u64>,
-    /// Semi-join passes executed (0 when pruning was off or trivial).
+    /// Semi-join passes that joined at least one edge (0 when pruning was
+    /// off or trivial). A pass joins only the edges whose endpoint domains
+    /// shrank since their last join, so a one-edge problem reads 1.
     pub rounds: usize,
     /// Domain size per node variable before pruning (pinned variables are
     /// already singletons here).
@@ -314,11 +319,6 @@ pub struct PipelineStats {
     /// ([`Domains::peel`]) and never enumerated (0 without projection
     /// pushdown or analysis).
     pub peeled_vars: usize,
-    /// Source domains narrowed in phase 2, before the first semi-join
-    /// pass, by one backward sweep of a multi-letter atom
-    /// ([`Domains::narrow_sources`]; 0 whenever `peeled_vars` is 0 for
-    /// want of the analyzer, projection pushdown or an unpinned run).
-    pub narrowed_vars: usize,
     /// Variables in the plan's existential suffix, eliminated by
     /// projection pushdown instead of being backtracked over (0 when
     /// [`SolveOptions::project`] is off; the whole variable order for
@@ -1042,7 +1042,6 @@ impl Problem {
             domain_before: Vec::new(),
             domain_after: Vec::new(),
             peeled_vars: 0,
-            narrowed_vars: 0,
             eliminated_vars,
             backtrack_steps: 0,
             intersection_seeks: 0,
@@ -1070,17 +1069,11 @@ impl Problem {
                 Some(frozen) => doms.peel(db, &mut self.free_edges, frozen, gov),
                 None => Peel::default(),
             };
-            let narrowed = if eliminate && !leaves.emptied {
-                doms.narrow_sources(db, &mut self.free_edges, &leaves.peeled, gov)
-            } else {
-                Narrowed::default()
-            };
-            if leaves.emptied || narrowed.emptied {
+            if leaves.emptied {
                 self.pipeline = Some(PipelineStats {
                     domain_before: before,
                     domain_after: doms.sizes().to_vec(),
                     peeled_vars: leaves.vars,
-                    narrowed_vars: narrowed.domains,
                     ..base_stats(p)
                 });
                 return false;
@@ -1111,7 +1104,6 @@ impl Problem {
                 domain_before: before,
                 domain_after: doms.sizes().to_vec(),
                 peeled_vars: leaves.vars,
-                narrowed_vars: narrowed.domains,
                 ..base_stats(p)
             });
             if outcome.emptied {

@@ -5,7 +5,8 @@ Runs `python3 perfbench/run.py --workload <w> --seed 1 --seconds 0 --trace 1`
 for every workload in `BENCH_counters.json` and fails on any counter that
 differs from the recorded value. The counters are work counts (semi-join
 rounds, backtrack steps, leapfrog seeks, eliminated variables, governor
-steps and checkpoints), so they are the same on every machine; a change
+steps and checkpoints, query-cache evictions, invalidations and entries
+that survived appends), so they are the same on every machine; a change
 that moves them must re-record them and say why.
 
 Run from the repository root:
@@ -28,6 +29,9 @@ COUNTERS = [
     "solve.eliminated_vars",
     "governor.steps",
     "governor.checkpoints",
+    "cache.evictions",
+    "cache.invalidated",
+    "cache.survived_appends",
 ]
 ARGS = ["--seed", "1", "--seconds", "0", "--trace", "1"]
 

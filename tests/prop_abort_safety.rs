@@ -261,36 +261,45 @@ fn exhaustive_abort_sweep_on_fixed_instance() {
 }
 
 /// Trips inside the set sweeps that remove existential variables — the
-/// leaf peel and the source narrowing of a contracted multi-step atom —
-/// at every checkpoint index: each partial relation is a subset, and the
-/// same evaluator re-solves to the full relation (a sweep memoizes
-/// nothing, so nothing partial survives). The first checkpoint lies in
-/// the first sweep, which then changes no domain. Two complete runs of the
-/// same input spend the same governor steps.
+/// leaf peel — and inside the semi-joins, product rows and CSR reads of
+/// one-letter atoms alike, at every checkpoint index: each partial relation
+/// is a subset, and the same evaluator re-solves to the full relation (a
+/// sweep or a CSR read memoizes nothing, so nothing partial survives). The
+/// first checkpoint lies in the first sweep or join, which then changes no
+/// domain. Two complete runs of the same input spend the same governor
+/// steps and pass the same checkpoints.
 #[test]
 fn elimination_sweep_aborts_are_safe_and_runs_repeat() {
     let alpha = Arc::new(Alphabet::from_chars("ab"));
-    let db = random_labeled(alpha, 40, 120, 11);
-    let mut a2 = db.alphabet().clone();
+    let small = random_labeled(alpha.clone(), 40, 120, 11);
+    // Over 64 nodes, so a one-letter join reads the CSR in several batches.
+    let large = random_labeled(alpha, 150, 450, 11);
+    let mut a2 = small.alphabet().clone();
     // With output `x`, `y` and `w` are existential leaves (`z` contracts
-    // first); with both chain ends as outputs the contracted `b·ab` atom
-    // narrows its sources instead.
+    // first); with both chain ends as outputs the contracted `b·ab` atom is
+    // one edge, joined once. The triangle's atoms are all one letter long.
     let star = [("x", "a(a|b)*", "y"), ("x", "b", "z"), ("z", "ab", "w")];
-    for (atoms, outputs) in [(&star[..], &["x"][..]), (&star[1..], &["x", "w"][..])] {
+    let triangle = [("x", "a", "y"), ("y", "b", "z"), ("z", "a|b", "x")];
+    // (atoms, outputs, database, (peeled, rounds, contracted))
+    let cases = [
+        (&star[..], &["x"][..], &small, (2, 0, 1)),
+        (&star[1..], &["x", "w"][..], &small, (0, 1, 1)),
+        (&triangle[..], &["x", "y", "z"][..], &large, (0, 2, 0)),
+    ];
+    for (atoms, outputs, db, expected) in cases {
         let q = Crpq::build(atoms, outputs, &mut a2).unwrap();
         let ev = CrpqEvaluator::new(&q);
         let opts = Request::Answers.default_options();
-        let complete = ev.run(&db, Request::Answers, &opts).value.into_tuples();
+        let complete = ev.run(db, Request::Answers, &opts).value.into_tuples();
         let reference = ev
-            .run(&db, Request::Answers, &SolveOptions::naive())
+            .run(db, Request::Answers, &SolveOptions::naive())
             .value
             .into_tuples();
         assert_eq!(complete, reference);
         assert!(!complete.is_empty(), "vacuous instance");
 
-        let governed = |gov: &Arc<Governor>| {
-            ev.run(&db, Request::Answers, &opts.clone().governed(gov.clone()))
-        };
+        let governed =
+            |gov: &Arc<Governor>| ev.run(db, Request::Answers, &opts.clone().governed(gov.clone()));
         let (dry, again) = (
             Arc::new(Governor::unlimited()),
             Arc::new(Governor::unlimited()),
@@ -305,21 +314,15 @@ fn elimination_sweep_aborts_are_safe_and_runs_repeat() {
             "same input, same steps"
         );
         assert_eq!(dry.checkpoints_seen(), again.checkpoints_seen());
-        if outputs.len() == 1 {
-            assert_eq!(
-                (stats.peeled_vars, stats.narrowed_vars),
-                (2, 0),
-                "{stats:?}"
-            );
-        } else {
-            assert_eq!(
-                (stats.peeled_vars, stats.narrowed_vars),
-                (0, 1),
-                "{stats:?}"
-            );
-        }
-        let contracted = stats.analysis.as_ref().map(|a| a.stats.vars_contracted);
-        assert_eq!(contracted, Some(1));
+        let contracted = stats
+            .analysis
+            .as_ref()
+            .map_or(0, |a| a.stats.vars_contracted);
+        assert_eq!(
+            (stats.peeled_vars, stats.rounds, contracted),
+            expected,
+            "{stats:?}"
+        );
 
         let seen = dry.checkpoints_seen();
         for k in 1..=seen {
@@ -328,11 +331,11 @@ fn elimination_sweep_aborts_are_safe_and_runs_repeat() {
             assert_eq!(gov.abort_reason(), Some(AbortReason::Injected), "k={k}");
             if k == 1 {
                 let p = out.pipeline.as_ref().expect("pipeline stats");
-                assert_eq!((p.peeled_vars, p.narrowed_vars), (0, 0), "{p:?}");
+                assert_eq!((p.peeled_vars, p.rounds), (0, 0), "{p:?}");
             }
             let partial = out.value.into_tuples();
             assert!(partial.is_subset(&complete), "k={k}: partial ⊄ complete");
-            let repeat = ev.run(&db, Request::Answers, &opts).value.into_tuples();
+            let repeat = ev.run(db, Request::Answers, &opts).value.into_tuples();
             assert_eq!(repeat, complete, "k={k}: post-abort re-solve diverged");
         }
     }

@@ -1,5 +1,6 @@
 //! Differential suite for existential-variable elimination: degree-2
-//! contraction (phase 0), the leaf peel and source narrowing (phase 2).
+//! contraction (phase 0) and the leaf peel (phase 2), beside the semi-join
+//! passes over the edges that remain.
 //!
 //! Both rewrites run exactly when the analyzer and projection pushdown
 //! do, which is how every request's default options run. On random small
@@ -57,7 +58,7 @@ fn db(seed: u64) -> GraphDb {
 
 /// Every request under its default options against the naive reference;
 /// returns the default answer run's pipeline counters
-/// `[vars contracted, leaves peeled, sources narrowed]`.
+/// `[vars contracted, leaves peeled, semi-join passes]`.
 fn assert_agrees(q: &Crpq, db: &GraphDb, rng: &mut StdRng) -> Result<[usize; 3], TestCaseError> {
     let ev = CrpqEvaluator::new(q);
     let naive = SolveOptions::naive();
@@ -66,7 +67,7 @@ fn assert_agrees(q: &Crpq, db: &GraphDb, rng: &mut StdRng) -> Result<[usize; 3],
     let fast = run(Request::Answers, &Request::Answers.default_options());
     let counts = fast.pipeline.as_ref().map_or([0; 3], |p| {
         let contracted = p.analysis.as_ref().map_or(0, |a| a.stats.vars_contracted);
-        [contracted, p.peeled_vars, p.narrowed_vars]
+        [contracted, p.peeled_vars, p.rounds]
     });
     let answers = fast.value.into_tuples();
     let reference = run(Request::Answers, &naive).value.into_tuples();
@@ -159,7 +160,8 @@ proptest! {
 }
 
 /// The random suite exercises every rewrite: across a fixed batch of
-/// instances some answer runs contract, some peel and some narrow.
+/// instances some answer runs contract, some peel and some join the edges
+/// left over.
 #[test]
 fn suite_contracts_and_peels() {
     let mut total = [0; 3];
